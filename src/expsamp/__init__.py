@@ -9,7 +9,6 @@ from .kernels import (
     fejer_kernel,
     jackson_kernel,
     parse_kernel_spec,
-    eval_kernel,
     compute_jackson_norm_constant,
     compute_metrics,
     kernel_line_mass,
@@ -30,7 +29,6 @@ from .operators import (
     DurrmeyerEvaluator,
     index_set,
     get_evaluator,
-    clear_evaluator_cache,
     max_product_eval,
     max_min_eval,
     maxmin_algebra_checks,
@@ -64,7 +62,6 @@ from .harness import (
     make_h2,
     rescaled_to_unit,
     get_test_function,
-    eval_test_function,
     build_error_table,
     convergence_sweep,
     brute_force_oracle,

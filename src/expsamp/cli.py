@@ -1,5 +1,7 @@
 """Command-line surface: kernel inspection, operator evaluation, tables,
-golden-file verification, sweeps, modular diagnostics and property suites.
+golden-file verification, sweeps, modular diagnostics, property suites and
+``reproduce``, which reruns the paper's experiments through the same
+per-config writers as ``table``, ``sweep`` and ``modular``.
 
 Exit-code policy: 0 on success, 1 on operational failure (including a failed
 verification), 2 on usage/parse/schema errors.  Producing a table never
@@ -52,6 +54,17 @@ from . import refdata
 
 DEFAULT_N_LIST = [17, 26, 35, 53]
 DEFAULT_POINTS = [0.8, 1.5, 2.0, 2.5]
+DEFAULT_REL_TOL = 0.25
+SWEEP_GRID_DENSITY = 400
+
+# The grids of ``expsamp reproduce`` for sweeps and modular series (tables
+# take theirs from ``refdata``).
+PAIRS = {
+    "b2_jackson": ("bspline:2", "jackson:1.05:1"),
+    "b3_fejer": ("bspline:3", "fejer:pi:0"),
+}
+MODULAR_GAUGE = "power:2"
+MODULAR_QUAD_TOL = 1e-8
 
 
 class DataError(click.ClickException):
@@ -126,27 +139,68 @@ class ExperimentConfig:
         return dataclasses.replace(self, **updates)
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
-    items = [t for t in (s.strip() for s in text.split(",")) if t]
-    if not items:
-        raise click.UsageError(f"empty {what}")
-    try:
-        return [float(t) for t in items]
-    except ValueError as exc:
-        raise click.UsageError(f"bad {what} {text!r}: {exc}") from None
+def _parsed(parse):
+    """Click callback applying ``parse`` to a given value; a ValueError is a usage error."""
+    def callback(ctx, param, value):
+        try:
+            return None if value is None else parse(value)
+        except ValueError as exc:
+            raise click.BadParameter(f"{value!r}: {exc}") from None
+    return callback
 
 
-def _parse_interval(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise click.UsageError(f"interval must look like a:b, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise click.UsageError(f"bad interval {text!r}: {exc}") from None
+def _comma_list(convert):
+    def parse(text: str) -> list:
+        items = [t.strip() for t in text.split(",") if t.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return [convert(t) for t in items]
+    return parse
+
+
+def _interval(text: str) -> tuple[float, float]:
+    if text.count(":") != 1:
+        raise ValueError("interval must look like a:b")
+    a, b = text.split(":")
+    return float(a), float(b)
+
+
+_N_LIST = click.option("--n-list", callback=_parsed(_comma_list(int)),
+                       help="comma-separated orders")
+_OUTPUT = click.option("--output", required=True)
+_FORMAT = click.option("--format", type=click.Choice(["csv", "json"]))
+
+
+def _experiment_options(operators: tuple[str, ...], *extra):
+    """The options shared by ``op eval``, ``table``, ``sweep`` and ``modular``, then ``extra``.
+
+    Each option's parameter is named after the :class:`ExperimentConfig`
+    field it sets (``config_path`` excepted), so a command hands them all
+    to :func:`_assemble_config`.
+    """
+    shared = [
+        click.option("--operator", type=click.Choice(operators)),
+        click.option("--phi", help="kernel spec for the outer kernel"),
+        click.option("--psi", help="kernel spec for the coefficient kernel"),
+        click.option("--interval", callback=_parsed(_interval), help="a:b"),
+        click.option("--function", "test_function", help="h1, h2 or a CSV sample file"),
+        click.option("--quad-tol", type=float),
+        click.option("--config", "config_path", type=click.Path(exists=True)),
+    ]
+
+    def decorate(command):
+        for opt in reversed(shared + list(extra)):
+            command = opt(command)
+        return command
+    return decorate
 
 
 def _assemble_config(config_path, **flags) -> ExperimentConfig:
+    """Defaults, then the given flags, then the fields present in the config file.
+
+    The result must name an operator the running command's ``--operator``
+    accepts, so a config file cannot hand ``both`` to a single-operator command.
+    """
     cfg = ExperimentConfig().with_updates(**flags)
     if config_path:
         try:
@@ -162,10 +216,19 @@ def _assemble_config(config_path, **flags) -> ExperimentConfig:
         cfg.validate()
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    ctx = click.get_current_context()
+    accepted = next(p.type.choices for p in ctx.command.params if p.name == "operator")
+    if cfg.operator not in accepted:
+        raise click.UsageError(f"{ctx.command_path} needs a single operator")
     return cfg
 
 
-def _load_function(spec: str):
+def _load_function(spec: str, interval: tuple[float, float]):
+    """h1, h2, or a CSV of samples ``w,value`` interpolated linearly in log w.
+
+    A sample file must cover the operator interval: ``np.interp`` would
+    otherwise extend the end samples as constants without a word.
+    """
     if spec in ("h1", "h2"):
         return get_test_function(spec)
     path = Path(spec)
@@ -175,11 +238,21 @@ def _load_function(spec: str):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except Exception as exc:
         raise DataError(f"cannot read samples from {spec}: {exc}") from None
+    if data.shape[0] == 0 or data.shape[1] < 2:
+        raise DataError(f"{spec} needs rows of two columns w,value")
     ws, vals = data[:, 0], data[:, 1]
+    if np.isnan(ws).any() or np.isnan(vals).any():
+        raise DataError(f"samples in {spec} contain NaN")
     if np.any(ws <= 0):
         raise DataError(f"sample abscissae in {spec} must be positive")
     order = np.argsort(ws)
     ws, vals = ws[order], vals[order]
+    if np.any(np.diff(ws) == 0):
+        raise DataError(f"duplicate sample abscissae in {spec}")
+    a, b = interval
+    if not ws[0] <= a < b <= ws[-1]:
+        raise DataError(f"interval [{a:g}, {b:g}] is not inside the sample range "
+                        f"[{ws[0]:g}, {ws[-1]:g}] of {spec}")
     logw = np.log(ws)
 
     def interp(w):
@@ -263,32 +336,14 @@ def op() -> None:
 
 
 @op.command("eval")
-@click.option("--operator", type=click.Choice(["max_product", "max_min"]), default=None)
-@click.option("--phi", default=None, help="kernel spec for the outer kernel")
-@click.option("--psi", default=None, help="kernel spec for the coefficient kernel")
-@click.option("-n", "order", type=int, required=True)
-@click.option("--interval", default=None, help="a:b")
-@click.option("--function", "test_function", default=None, help="h1, h2 or a CSV sample file")
-@click.option("-w", "points", type=float, multiple=True, required=True)
-@click.option("--quad-tol", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def op_eval(operator, phi, psi, order, interval, test_function, points, quad_tol,
-            as_json, config_path) -> None:
+@_experiment_options(("max_product", "max_min"),
+                     click.option("-n", "order", type=int, required=True),
+                     click.option("-w", "points", type=float, multiple=True, required=True),
+                     click.option("--json", "as_json", is_flag=True))
+def op_eval(config_path, order, points, as_json, **flags) -> None:
     """Evaluate one operator at the given points."""
-    cfg = _assemble_config(
-        config_path,
-        operator=operator,
-        phi=phi,
-        psi=psi,
-        n_list=[order],
-        interval=None if interval is None else _parse_interval(interval),
-        test_function=test_function,
-        quad_tol=quad_tol,
-    )
-    if cfg.operator == "both":
-        raise click.UsageError("op eval needs a single operator")
-    h = _load_function(cfg.test_function)
+    cfg = _assemble_config(config_path, n_list=[order], **flags)
+    h = _load_function(cfg.test_function, cfg.interval)
     ocfg = OperatorConfig(
         phi=_kernel(cfg.phi), psi=_kernel(cfg.psi), n=cfg.n_list[0],
         a=cfg.interval[0], b=cfg.interval[1],
@@ -323,64 +378,94 @@ def op_eval(operator, phi, psi, order, interval, test_function, points, quad_tol
                 click.echo(f"  warning: {r['warning']}")
 
 
-def _table_output_paths(output: str, operators: list[str]) -> dict[str, Path]:
-    base = Path(output)
-    if len(operators) == 1:
-        return {operators[0]: base}
-    return {
-        oper: base.with_name(f"{base.stem}_{oper}{base.suffix}")
-        for oper in operators
-    }
+def _write_output(path: Path, fmt: str, echo: dict, rows: list[dict], write_csv,
+                  **extra) -> None:
+    """Write ``path`` as CSV plus a JSON mirror at ``<path>.json``, or as JSON."""
+    if fmt == "csv":
+        write_csv(path)
+        path = Path(str(path) + ".json")
+    write_json_mirror(path, echo, rows, **extra)
+
+
+def _run_table(cfg: ExperimentConfig) -> dict[str, list]:
+    """Build and write the error table of each operator of ``cfg``; returns their rows."""
+    operators = ["max_product", "max_min"] if cfg.operator == "both" else [cfg.operator]
+    points = cfg.points if cfg.points is not None else DEFAULT_POINTS
+    h = _load_function(cfg.test_function, cfg.interval)
+    base, built = Path(cfg.output), {}
+    for oper in operators:
+        rows = built[oper] = build_error_table(
+            oper, cfg.phi, cfg.psi, cfg.n_list, points,
+            interval=cfg.interval, quad=QuadratureSpec(abs_tol=cfg.quad_tol), which=h,
+        ).rows()
+        out = base if len(operators) == 1 else base.with_name(f"{base.stem}_{oper}{base.suffix}")
+        _write_output(out, cfg.format, dict(cfg.to_dict(), operator=oper),
+                      [dataclasses.asdict(r) for r in rows],
+                      lambda path: write_table_csv(rows, path))
+        click.echo(f"{oper}: wrote {out} ({len(rows)} rows, "
+                   f"{sum(r.skipped for r in rows)} skipped)")
+    return built
+
+
+def _run_sweep(cfg: ExperimentConfig) -> None:
+    """Run and write the sup-error sweep of ``cfg``, per-point errors in the JSON."""
+    h = _load_function(cfg.test_function, cfg.interval)
+    report = convergence_sweep(
+        cfg.operator, cfg.phi, cfg.psi, h, cfg.n_list,
+        grid_density=cfg.grid_density or SWEEP_GRID_DENSITY, interval=cfg.interval,
+        quad=QuadratureSpec(abs_tol=cfg.quad_tol),
+    )
+    rows = [{"n": n, "sup_error": e, "skipped_points": s, "abs_errors": [float(x) for x in row]}
+            for n, e, s, row in zip(report.n_values, report.sup_errors,
+                                    report.skipped_counts, report.per_point)]
+    out = Path(cfg.output)
+    _write_output(out, cfg.format, cfg.to_dict(), rows,
+                  lambda path: write_sweep_csv(report, path),
+                  grid=[float(w) for w in report.grid])
+    click.echo(f"wrote {out} ({len(rows)} rows)")
+
+
+def _run_modular(cfg: ExperimentConfig) -> None:
+    """Compute and write the modular distance series of ``cfg``."""
+    if cfg.phi_function is None:
+        raise click.UsageError("modular needs --phi-function")
+    try:
+        gauge = parse_phi_spec(cfg.phi_function)
+    except PhiSpecError as exc:
+        raise click.UsageError(str(exc)) from None
+    h = _load_function(cfg.test_function, cfg.interval)
+    template = OperatorConfig(
+        phi=_kernel(cfg.phi), psi=_kernel(cfg.psi), n=min(cfg.n_list),
+        a=cfg.interval[0], b=cfg.interval[1], quad=QuadratureSpec(abs_tol=cfg.quad_tol),
+    )
+    try:
+        series = modular_convergence_series(gauge, cfg.operator, h, template,
+                                            cfg.n_list, lam=cfg.lam)
+    except OrliczOverflowError as exc:
+        raise click.ClickException(str(exc)) from None
+
+    def write_csv(path):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("n,modular_value,lambda\n")
+            for n, rep in zip(cfg.n_list, series):
+                f.write(f"{n},{rep.modular_value:.6g},{rep.lam:g}\n")
+
+    out = Path(cfg.output)
+    _write_output(out, "csv", cfg.to_dict(), [
+        {"n": n, "modular_value": rep.modular_value, "lambda": rep.lam,
+         "skipped_nodes": rep.skipped_nodes}
+        for n, rep in zip(cfg.n_list, series)
+    ], write_csv)
+    click.echo(f"wrote {out} ({len(series)} rows)")
 
 
 @main.command("table")
-@click.option("--operator", type=click.Choice(["max_product", "max_min", "both"]), default=None)
-@click.option("--phi", default=None)
-@click.option("--psi", default=None)
-@click.option("--n-list", "n_list_text", default=None, help="comma-separated orders")
-@click.option("--points", "points_text", default=None, help="comma-separated points")
-@click.option("--interval", default=None, help="a:b")
-@click.option("--function", "test_function", default=None)
-@click.option("--quad-tol", type=float, default=None)
-@click.option("--output", default=None, required=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def table_cmd(operator, phi, psi, n_list_text, points_text, interval, test_function,
-              quad_tol, output, fmt, config_path) -> None:
+@_experiment_options(("max_product", "max_min", "both"), _N_LIST, _OUTPUT, _FORMAT,
+                     click.option("--points", callback=_parsed(_comma_list(float)),
+                                  help="comma-separated points"))
+def table_cmd(config_path, **flags) -> None:
     """Build absolute-error tables and write CSV/JSON."""
-    cfg = _assemble_config(
-        config_path,
-        operator=operator,
-        phi=phi,
-        psi=psi,
-        n_list=None if n_list_text is None else [int(x) for x in _parse_floats(n_list_text, "n-list")],
-        points=None if points_text is None else _parse_floats(points_text, "points"),
-        interval=None if interval is None else _parse_interval(interval),
-        test_function=test_function,
-        quad_tol=quad_tol,
-        output=output,
-        format=fmt,
-    )
-    operators = ["max_product", "max_min"] if cfg.operator == "both" else [cfg.operator]
-    points = cfg.points if cfg.points is not None else list(DEFAULT_POINTS)
-    h = _load_function(cfg.test_function)
-    paths = _table_output_paths(cfg.output, operators)
-    for oper in operators:
-        table = build_error_table(
-            oper, cfg.phi, cfg.psi, cfg.n_list, points,
-            interval=cfg.interval, quad=QuadratureSpec(abs_tol=cfg.quad_tol), which=h,
-        )
-        rows = table.rows()
-        echo = dict(cfg.to_dict(), operator=oper)
-        out = paths[oper]
-        if cfg.format == "csv":
-            write_table_csv(rows, out)
-            write_json_mirror(Path(str(out) + ".json"), echo,
-                              [dataclasses.asdict(r) for r in rows])
-        else:
-            write_json_mirror(out, echo, [dataclasses.asdict(r) for r in rows])
-        skipped = [r for r in rows if r.skipped]
-        click.echo(f"{oper}: wrote {out} ({len(rows)} rows, {len(skipped)} skipped)")
+    _run_table(_assemble_config(config_path, **flags))
 
 
 def _resolve_reference(ref: str):
@@ -399,7 +484,7 @@ def _resolve_reference(ref: str):
 @main.command("verify")
 @click.argument("table_file", type=click.Path(exists=True))
 @click.argument("reference")
-@click.option("--rel-tol", type=float, default=0.25, show_default=True)
+@click.option("--rel-tol", type=float, default=DEFAULT_REL_TOL, show_default=True)
 def verify_cmd(table_file, reference, rel_tol) -> None:
     """Compare a produced table against a reference (path or tableN:operator).
 
@@ -429,108 +514,80 @@ def verify_cmd(table_file, reference, rel_tol) -> None:
 
 
 @main.command("sweep")
-@click.option("--operator", type=click.Choice(["max_product", "max_min"]), default=None)
-@click.option("--phi", default=None)
-@click.option("--psi", default=None)
-@click.option("--n-list", "n_list_text", default=None)
-@click.option("--interval", default=None)
-@click.option("--function", "test_function", default=None)
-@click.option("--grid-density", type=int, default=None)
-@click.option("--quad-tol", type=float, default=None)
-@click.option("--output", required=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def sweep_cmd(operator, phi, psi, n_list_text, interval, test_function, grid_density,
-              quad_tol, output, fmt, config_path) -> None:
+@_experiment_options(("max_product", "max_min"), _N_LIST, _OUTPUT, _FORMAT,
+                     click.option("--grid-density", type=int))
+def sweep_cmd(config_path, **flags) -> None:
     """Sup-error convergence sweep over a log-spaced grid."""
-    cfg = _assemble_config(
-        config_path,
-        operator=operator,
-        phi=phi,
-        psi=psi,
-        n_list=None if n_list_text is None else [int(x) for x in _parse_floats(n_list_text, "n-list")],
-        interval=None if interval is None else _parse_interval(interval),
-        test_function=test_function,
-        grid_density=grid_density,
-        quad_tol=quad_tol,
-        output=output,
-        format=fmt,
-    )
-    if cfg.operator == "both":
-        raise click.UsageError("sweep needs a single operator")
-    h = _load_function(cfg.test_function)
-    report = convergence_sweep(
-        cfg.operator, cfg.phi, cfg.psi, h, cfg.n_list,
-        grid_density=cfg.grid_density or 400, interval=cfg.interval,
-        quad=QuadratureSpec(abs_tol=cfg.quad_tol),
-    )
-    rows = [{"n": n, "sup_error": e} for n, e in zip(report.n_values, report.sup_errors)]
-    out = Path(cfg.output)
-    if cfg.format == "csv":
-        write_sweep_csv(report, out)
-        write_json_mirror(Path(str(out) + ".json"), cfg.to_dict(), rows)
-    else:
-        write_json_mirror(out, cfg.to_dict(), rows)
-    click.echo(f"wrote {out} ({len(rows)} rows)")
+    _run_sweep(_assemble_config(config_path, **flags))
 
 
 @main.command("modular")
-@click.option("--phi-function", "phi_function", default=None, help="power:2, exppower:1, powerlog:1:1")
-@click.option("--lambda", "lam", type=float, default=None)
-@click.option("--operator", type=click.Choice(["max_product", "max_min"]), default=None)
-@click.option("--phi", default=None)
-@click.option("--psi", default=None)
-@click.option("--n-list", "n_list_text", default=None)
-@click.option("--interval", default=None)
-@click.option("--function", "test_function", default=None)
-@click.option("--quad-tol", type=float, default=None)
-@click.option("--output", required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def modular_cmd(phi_function, lam, operator, phi, psi, n_list_text, interval,
-                test_function, quad_tol, output, config_path) -> None:
+@_experiment_options(("max_product", "max_min"), _N_LIST, _OUTPUT,
+                     click.option("--phi-function", help="power:2, exppower:1, powerlog:1:1"),
+                     click.option("--lambda", "lam", type=float))
+def modular_cmd(config_path, **flags) -> None:
     """Modular distance series I[lambda (D_n h - h)] over the n list."""
-    cfg = _assemble_config(
-        config_path,
-        operator=operator,
-        phi=phi,
-        psi=psi,
-        n_list=None if n_list_text is None else [int(x) for x in _parse_floats(n_list_text, "n-list")],
-        interval=None if interval is None else _parse_interval(interval),
-        test_function=test_function,
-        phi_function=phi_function,
-        lam=lam,
-        quad_tol=quad_tol,
-        output=output,
-    )
-    if cfg.phi_function is None:
-        raise click.UsageError("modular needs --phi-function")
-    if cfg.operator == "both":
-        raise click.UsageError("modular needs a single operator")
-    try:
-        gauge = parse_phi_spec(cfg.phi_function)
-    except PhiSpecError as exc:
-        raise click.UsageError(str(exc)) from None
-    h = _load_function(cfg.test_function)
-    template = OperatorConfig(
-        phi=_kernel(cfg.phi), psi=_kernel(cfg.psi), n=min(cfg.n_list),
-        a=cfg.interval[0], b=cfg.interval[1], quad=QuadratureSpec(abs_tol=cfg.quad_tol),
-    )
-    try:
-        series = modular_convergence_series(gauge, cfg.operator, h, template,
-                                            cfg.n_list, lam=cfg.lam)
-    except OrliczOverflowError as exc:
-        raise click.ClickException(str(exc)) from None
-    out = Path(cfg.output)
-    with open(out, "w", encoding="utf-8") as f:
-        f.write("n,modular_value,lambda\n")
-        for n, rep in zip(cfg.n_list, series):
-            f.write(f"{n},{rep.modular_value:.6g},{rep.lam:g}\n")
-    write_json_mirror(Path(str(out) + ".json"), cfg.to_dict(), [
-        {"n": n, "modular_value": rep.modular_value, "lambda": rep.lam,
-         "skipped_nodes": rep.skipped_nodes}
-        for n, rep in zip(cfg.n_list, series)
-    ])
-    click.echo(f"wrote {out} ({len(series)} rows)")
+    _run_modular(_assemble_config(config_path, **flags))
+
+
+def _reproduce_tables(outdir: Path) -> None:
+    summary = []
+    for table_id, info in refdata.TABLE_INFO.items():
+        built = _run_table(ExperimentConfig(
+            operator="both", phi=info["phi"], psi=info["psi"],
+            n_list=list(refdata.REFERENCE_N_VALUES), interval=refdata.REFERENCE_INTERVAL,
+            points=list(refdata.REFERENCE_POINTS), test_function=info["function"],
+            output=str(outdir / f"{table_id}.csv"),
+        ))
+        for oper, rows in built.items():
+            report = compare_tables(rows, refdata.load_reference(table_id, oper),
+                                    DEFAULT_REL_TOL)
+            worst = max((d[4] for d in report.deviations
+                         if (d[0], d[1]) not in report.flagged), default=0.0)
+            summary.append({
+                "table": table_id, "operator": oper,
+                "value_pass": not report.value_violations,
+                "trend_pass": not report.trend_violations,
+                "worst_rel_dev": round(worst, 4),
+                "flagged_cells": len(report.flagged),
+            })
+            click.echo(f"{table_id}/{oper}: worst non-flagged rel dev {worst:.3f}, "
+                       f"trend violations {len(report.trend_violations)}")
+    (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    click.echo(f"wrote {outdir / 'summary.json'}")
+
+
+@main.command("reproduce")
+@click.argument("kind", type=click.Choice(["tables", "sweeps", "modular"]))
+@click.option("--outdir", type=click.Path(file_okay=False), required=True)
+def reproduce_cmd(kind, outdir) -> None:
+    """Rerun one of the paper's experiments and write its outputs to OUTDIR.
+
+    tables: the eight published tables on refdata.REFERENCE_INTERVAL, each
+    compared with its bundled reference, plus summary.json; sweeps: sup-error
+    sweeps for both kernel pairs, operators and signals; modular: the
+    power:2 modular series of the max-product operator for both pairs and
+    signals.
+    """
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    if kind == "tables":
+        return _reproduce_tables(out)
+    for pair, (phi, psi) in PAIRS.items():
+        for which in ("h1", "h2"):
+            if kind == "modular":
+                gauge = MODULAR_GAUGE.replace(":", "-")
+                _run_modular(ExperimentConfig(
+                    operator="max_product", phi=phi, psi=psi, test_function=which,
+                    phi_function=MODULAR_GAUGE, quad_tol=MODULAR_QUAD_TOL,
+                    output=str(out / f"{pair}_max_product_{which}_{gauge}.csv"),
+                ))
+                continue
+            for oper in ("max_product", "max_min"):
+                _run_sweep(ExperimentConfig(
+                    operator=oper, phi=phi, psi=psi, test_function=which,
+                    output=str(out / f"{pair}_{oper}_{which}.csv"),
+                ))
 
 
 @main.command("props")

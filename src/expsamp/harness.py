@@ -37,7 +37,6 @@ __all__ = [
     "make_h2",
     "rescaled_to_unit",
     "get_test_function",
-    "eval_test_function",
     "build_error_table",
     "convergence_sweep",
     "brute_force_oracle",
@@ -153,11 +152,6 @@ def get_test_function(which) -> FunctionHandle:
         return _TEST_FUNCTIONS[which]()
     except KeyError:
         raise ValueError(f"unknown test function {which!r}; expected h1 or h2") from None
-
-
-def eval_test_function(which: str, w) -> float:
-    """Evaluate h1 or h2 at ``w`` (h2 raises outside [0, 3])."""
-    return get_test_function(which)(w)
 
 
 def _resolve_kernel(spec) -> KernelDescriptor:
@@ -375,9 +369,10 @@ def write_sweep_csv(report: SweepReport, path) -> None:
             writer.writerow([n, f"{e:.6g}"])
 
 
-def write_json_mirror(path, config_echo: dict, rows: list[dict]) -> None:
+def write_json_mirror(path, config_echo: dict, rows: list[dict], **extra) -> None:
+    """Write ``{"config": config_echo, "rows": rows, **extra}`` as JSON."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump({"config": config_echo, "rows": rows}, f, indent=2, sort_keys=True)
+        json.dump({"config": config_echo, "rows": rows, **extra}, f, indent=2, sort_keys=True)
         f.write("\n")
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "fejer_kernel",
     "jackson_kernel",
     "parse_kernel_spec",
-    "eval_kernel",
     "compute_jackson_norm_constant",
     "compute_metrics",
     "kernel_line_mass",
@@ -140,11 +139,6 @@ class KernelDescriptor:
             raise KernelDomainError(f"kernel argument must be finite and positive, got {w!r}")
         out = self.eval_log(np.log(arr))
         return float(out) if scalar else out
-
-
-def eval_kernel(kernel: KernelDescriptor, w) -> float:
-    """Evaluate ``kernel`` at the positive real ``w``."""
-    return kernel(w)
 
 
 def bspline_kernel(order: int) -> KernelDescriptor:

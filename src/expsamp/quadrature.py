@@ -41,6 +41,10 @@ __all__ = [
 # roughly max_depth panels per discontinuity, oscillatory ones a few hundred.
 _MAX_PANELS = 40_000
 
+# Distance (in log w) inside a pre-split segment at which a coefficient
+# integrand reads h, so that a node on a declared jump sees one branch only.
+_SEGMENT_NUDGE = 1e-12
+
 
 class QuadratureConvergenceError(RuntimeError):
     """Tolerance not met within the depth/panel budget.
@@ -312,8 +316,11 @@ def durrmeyer_coefficient(
     When ``psi`` has bounded support the integration range is clipped, in log
     coordinates, to the preimage of the support; an empty preimage yields an
     exact 0.0 without running any quadrature.  If ``h`` declares breakpoints
-    (known discontinuities), the range is additionally pre-split there so the
-    adaptive engine is never charged for localizing a known jump.
+    (known discontinuities), the range is additionally pre-split there, and on
+    each segment ``h`` (not ``psi``) is evaluated at points clamped
+    ``_SEGMENT_NUDGE`` inside the segment, so the endpoint nodes of the
+    Clenshaw-Curtis companion read the segment's own branch and the adaptive
+    engine is never charged for localizing a known jump.
     """
     if not (a > 0 and b > a):
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
@@ -327,19 +334,11 @@ def durrmeyer_coefficient(
         if lo >= hi:
             return 0.0
 
-    if h is None or (isinstance(h, str) and h == "one"):
-        def g(u: np.ndarray) -> np.ndarray:
-            return psi.eval_log(n * u - k)
-
-        cuts = [lo, hi]
-    else:
-        def g(u: np.ndarray) -> np.ndarray:
-            return psi.eval_log(n * u - k) * np.asarray(h(np.exp(u)), dtype=float)
-
-        cuts = sorted({lo, hi, *(
-            math.log(bp) for bp in getattr(h, "breakpoints", ()) or ()
-            if lo < math.log(bp) < hi
-        )})
+    one = h is None or (isinstance(h, str) and h == "one")
+    cuts = [lo, hi] if one else sorted({lo, hi, *(
+        math.log(bp) for bp in getattr(h, "breakpoints", ()) or ()
+        if lo < math.log(bp) < hi
+    )})
 
     # The n prefactor is applied after integration; the inner budget is
     # spec.abs_tol / (2n) so the delivered coefficient error stays below
@@ -349,5 +348,14 @@ def durrmeyer_coefficient(
     inner = QuadratureSpec(spec.abs_tol / (2 * n * nseg), spec.max_depth, spec.panel_nodes)
     acc = 0.0
     for s0, s1 in zip(cuts, cuts[1:]):
+        # h jumps at the inner cuts: read it strictly inside the segment so
+        # the engine's endpoint nodes see this segment's branch only
+        nudge = min(_SEGMENT_NUDGE, 0.25 * (s1 - s0))
+        ulo, uhi = (s0 + nudge, s1 - nudge) if nseg > 1 else (-math.inf, math.inf)
+
+        def g(u: np.ndarray, ulo=ulo, uhi=uhi) -> np.ndarray:
+            vals = psi.eval_log(n * u - k)
+            return vals if one else vals * np.asarray(h(np.exp(np.clip(u, ulo, uhi))), dtype=float)
+
         acc += integrate_log(g, s0, s1, inner).value
     return n * acc

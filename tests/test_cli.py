@@ -314,3 +314,78 @@ def test_custom_function_from_samples(runner, tmp_path):
     assert res.exit_code == 0, res.output
     data = json.loads(res.output)
     assert data["rows"][0]["value"] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("samples, message", [
+    (["0.5,0.5", "2.0,nan", "8.0,0.5"], "NaN"),
+    (["0.5,0.5", "nan,0.5", "8.0,0.5"], "NaN"),
+    (["0.5,0.5", "2.0,0.5", "2.0,0.6", "8.0,0.5"], "duplicate"),
+    (["2.0,0.5", "4.0,0.5", "8.0,0.5"], "sample range"),
+], ids=["nan-value", "nan-abscissa", "duplicate-abscissa", "interval-outside-samples"])
+def test_custom_function_rejects_bad_samples(runner, tmp_path, samples, message):
+    path = tmp_path / "fn.csv"
+    path.write_text("\n".join(["w,value"] + samples) + "\n")
+    res = runner.invoke(main, [
+        "op", "eval", "--operator", "max_product", "--phi", "bspline:2",
+        "--psi", "bspline:2", "-n", "3", "--interval", "1:7.389",
+        "--function", str(path), "-w", "2.0",
+    ])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+def test_config_cannot_hand_both_to_single_operator_command(runner, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"operator": "both"}))
+    res = runner.invoke(main, [
+        "sweep", "--output", str(tmp_path / "s.csv"), "--config", str(cfgfile),
+    ])
+    assert res.exit_code == 2
+    assert "needs a single operator" in res.output
+
+
+# ---------------------------------------------------------------------------
+# reproduce
+# ---------------------------------------------------------------------------
+
+def test_reproduce_tables_and_sweeps(runner, tmp_path, monkeypatch):
+    from expsamp import cli, refdata
+
+    monkeypatch.setattr(refdata, "TABLE_INFO", {"table2": refdata.TABLE_INFO["table2"]})
+    monkeypatch.setattr(cli, "PAIRS", {"b2_b2": ("bspline:2", "bspline:2")})
+    monkeypatch.setattr(cli, "DEFAULT_N_LIST", [3, 5])
+    monkeypatch.setattr(cli, "SWEEP_GRID_DENSITY", 20)
+
+    tables = tmp_path / "tables"
+    res = runner.invoke(main, ["reproduce", "tables", "--outdir", str(tables)])
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in tables.iterdir()) == [
+        "summary.json", "table2_max_min.csv", "table2_max_min.csv.json",
+        "table2_max_product.csv", "table2_max_product.csv.json",
+    ]
+    for oper in ("max_product", "max_min"):
+        lines = (tables / f"table2_{oper}.csv").read_text().splitlines()
+        assert lines[0] == "n,point,abs_error,skipped"
+        assert len(lines) == 17
+        mirror = json.loads((tables / f"table2_{oper}.csv.json").read_text())
+        assert mirror["config"]["interval"] == list(refdata.REFERENCE_INTERVAL)
+    summary = json.loads((tables / "summary.json").read_text())
+    assert [(s["table"], s["operator"]) for s in summary] == [
+        ("table2", "max_product"), ("table2", "max_min")]
+    assert summary[0]["value_pass"] and summary[0]["trend_pass"]
+    assert summary[0]["worst_rel_dev"] < 0.01
+
+    sweeps = tmp_path / "sweeps"
+    res = runner.invoke(main, ["reproduce", "sweeps", "--outdir", str(sweeps)])
+    assert res.exit_code == 0, res.output
+    stems = [f"b2_b2_{oper}_{which}"
+             for oper in ("max_product", "max_min") for which in ("h1", "h2")]
+    assert sorted(p.name for p in sweeps.iterdir()) == sorted(
+        name for stem in stems for name in (f"{stem}.csv", f"{stem}.csv.json"))
+    for stem in stems:
+        lines = (sweeps / f"{stem}.csv").read_text().splitlines()
+        assert lines[0] == "n,sup_error"
+        assert [line.split(",")[0] for line in lines[1:]] == ["3", "5"]
+        mirror = json.loads((sweeps / f"{stem}.csv.json").read_text())
+        assert len(mirror["grid"]) == 20
+        assert all(len(row["abs_errors"]) == 20 for row in mirror["rows"])

@@ -14,7 +14,6 @@ from expsamp import (
     build_error_table,
     compare_tables,
     convergence_sweep,
-    eval_test_function,
     flagged_cells,
     flagged_steps,
     get_test_function,
@@ -39,47 +38,47 @@ def _const_handle(c, a=0.25, b=3.0):
 # ---------------------------------------------------------------------------
 
 def test_h2_branch_values():
-    assert eval_test_function("h2", 1.5) == 0.4
-    assert eval_test_function("h2", 2.0) == 0.8
-    assert eval_test_function("h2", 0.6) == pytest.approx(1.0, abs=1e-15)
-    assert eval_test_function("h2", 3.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert eval_test_function("h2", 0.0) == pytest.approx(1.0 / 8.0, abs=1e-15)
+    assert get_test_function("h2")(1.5) == 0.4
+    assert get_test_function("h2")(2.0) == 0.8
+    assert get_test_function("h2")(0.6) == pytest.approx(1.0, abs=1e-15)
+    assert get_test_function("h2")(3.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert get_test_function("h2")(0.0) == pytest.approx(1.0 / 8.0, abs=1e-15)
 
 
 def test_h2_left_closed_branches():
     # boundaries belong to the right-hand branch, as printed
-    assert eval_test_function("h2", 1.2) == 0.4
-    assert eval_test_function("h2", 1.8) == 0.8
-    assert eval_test_function("h2", 2.4) == pytest.approx(0.0, abs=1e-15)
+    assert get_test_function("h2")(1.2) == 0.4
+    assert get_test_function("h2")(1.8) == 0.8
+    assert get_test_function("h2")(2.4) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_h2_continuity_at_first_knot():
     left = (1.0 + (5.0 / 3.0) * 0.6) ** 3 / 8.0
     right = 3.0 - (1.0 + (5.0 / 3.0) * 0.6)
     assert abs(left - right) <= 1e-12
-    assert eval_test_function("h2", 0.6) == pytest.approx(left, abs=1e-12)
+    assert get_test_function("h2")(0.6) == pytest.approx(left, abs=1e-12)
 
 
 def test_h2_jumps_exist():
     for knot in (1.2, 1.8, 2.4):
-        below = eval_test_function("h2", knot - 1e-9)
-        at = eval_test_function("h2", knot)
+        below = get_test_function("h2")(knot - 1e-9)
+        at = get_test_function("h2")(knot)
         assert abs(below - at) > 0.1
 
 
 def test_h2_domain_error():
     for w in (-0.5, 3.5):
         with pytest.raises(FunctionDomainError):
-            eval_test_function("h2", w)
+            get_test_function("h2")(w)
     # one-ulp grace at the edges
-    assert eval_test_function("h2", 3.0 + 1e-12) == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert get_test_function("h2")(3.0 + 1e-12) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_h1_value():
     z = 0.8 * math.cos(2 * math.pi)
     t = math.log1p(math.exp(z))
-    assert eval_test_function("h1", 1.0) == pytest.approx(t / (1 + t), abs=1e-12)
-    assert eval_test_function("h1", 1.0) == pytest.approx(0.53942, abs=2e-5)
+    assert get_test_function("h1")(1.0) == pytest.approx(t / (1 + t), abs=1e-12)
+    assert get_test_function("h1")(1.0) == pytest.approx(0.53942, abs=2e-5)
 
 
 @pytest.mark.parametrize("which", ["h1", "h2"])

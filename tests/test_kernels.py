@@ -11,7 +11,6 @@ from expsamp import (
     bspline_kernel,
     compute_jackson_norm_constant,
     compute_metrics,
-    eval_kernel,
     fejer_kernel,
     jackson_kernel,
     kernel_line_mass,
@@ -39,15 +38,15 @@ _BRANCHES = {
 
 
 def test_bspline_point_values(b2, b3, b4):
-    assert eval_kernel(b2, 1.0) == 1.0
-    assert eval_kernel(b3, 1.0) == 0.75
-    assert eval_kernel(b4, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert eval_kernel(b2, math.e**2) == 0.0
+    assert b2(1.0) == 1.0
+    assert b3(1.0) == 0.75
+    assert b4(1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert b2(math.e**2) == 0.0
 
 
 def test_fejer_and_jackson_point_values(fejer, jackson):
-    assert eval_kernel(fejer, 1.0) == 0.5
-    assert eval_kernel(jackson, 1.0) == jackson.norm_constant
+    assert fejer(1.0) == 0.5
+    assert jackson(1.0) == jackson.norm_constant
 
 
 def test_bspline_branches_match_generic_formula():
@@ -95,7 +94,7 @@ def test_compact_support_exactness():
 def test_bspline_symmetry(x, order):
     k = bspline_kernel(order)
     w = math.exp(x)
-    assert abs(eval_kernel(k, w) - eval_kernel(k, 1.0 / w)) <= 1e-12
+    assert abs(k(w) - k(1.0 / w)) <= 1e-12
 
 
 @given(x=st.floats(-30.0, 30.0))
@@ -108,7 +107,7 @@ def test_nonnegative_everywhere(x, b3, fejer, jackson):
 def test_domain_errors(b2):
     for w in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(KernelDomainError):
-            eval_kernel(b2, w)
+            b2(w)
 
 
 def test_normalizations(b2, b3, b4, fejer, jackson, quad):
@@ -165,7 +164,7 @@ def test_parse_kernel_spec():
 def test_generic_bspline_order_nine():
     k = parse_kernel_spec("bspline:9")
     assert k.log_support == (-4.5, 4.5)
-    assert eval_kernel(k, 1.0) > 0.0
+    assert k(1.0) > 0.0
 
 
 def test_metrics_bspline2(b2):
@@ -205,7 +204,7 @@ def test_discrete_moment_dominates_single_terms(b3, jackson):
         for _ in range(50):
             w = float(np.exp(rng.uniform(-3, 3)))
             shift = int(rng.integers(-10, 11))
-            assert m0 + 1e-12 >= eval_kernel(k, math.exp(-shift) * w)
+            assert m0 + 1e-12 >= k(math.exp(-shift) * w)
 
 
 def test_moment_finiteness_on_compact_support(b2, b3, b4):
@@ -231,4 +230,4 @@ def test_jackson_descriptor_caches_norm_constant():
     j = jackson_kernel(1.05, 1)
     assert j.norm_constant == pytest.approx(1.0 / (2.1 * math.pi), abs=1e-8)
     # evaluation picks up the cached constant
-    assert eval_kernel(j, 1.0) == j.norm_constant
+    assert j(1.0) == j.norm_constant

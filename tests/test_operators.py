@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expsamp import (
+    DurrmeyerEvaluator,
     KernelDescriptor,
     OperatorConfig,
     PreconditionError,
@@ -18,6 +19,7 @@ from expsamp import (
     max_product_eval,
     maxmin_algebra_checks,
 )
+from expsamp import operators
 from helpers import (
     combine,
     piecewise_constant_handle,
@@ -123,6 +125,27 @@ def test_degenerate_denominator_skip(b2):
     assert res.skipped and res.skip_reason == "degenerate denominator"
     res2 = ev.max_min(_const(0.5), 2.0)
     assert res2.skipped
+
+
+def test_eval_grid_blocks_match_per_block_calls(b2, h2, monkeypatch):
+    # phi cut to |x| < 1/4 leaves some points with no weight at all, so the
+    # skip masks are mixed
+    gapped = KernelDescriptor(name="gapped", family="bspline", params=(2.0,),
+                              support=(math.exp(-1.0), math.e))
+    object.__setattr__(gapped, "eval_log", lambda x: np.where(
+        np.abs(x) < 0.25, b2.eval_log(np.asarray(x, dtype=float)), 0.0))
+    ev = DurrmeyerEvaluator(OperatorConfig(phi=gapped, psi=b2, n=3, a=0.25, b=3.0))
+    ws = np.exp(np.linspace(math.log(0.25), math.log(3.0), 100))
+    kinds = ("max_product", "max_min")
+    per_block = {kind: [ev.eval_grid(kind, h2, ws[i:i + 37]) for i in range(0, ws.size, 37)]
+                 for kind in kinds}
+    monkeypatch.setattr(operators, "_GRID_BLOCK", 37)
+    for kind in kinds:
+        parts = per_block[kind]
+        values, skipped = ev.eval_grid(kind, h2, ws)
+        assert 0 < skipped.sum() < ws.size
+        assert np.array_equal(values, np.concatenate([p[0] for p in parts]), equal_nan=True)
+        assert np.array_equal(skipped, np.concatenate([p[1] for p in parts]))
 
 
 # ---------------------------------------------------------------------------

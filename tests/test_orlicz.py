@@ -221,7 +221,7 @@ def test_modular_series_requires_increasing_n(b2):
 
 def test_modular_series_h2_non_increasing(b2, jackson, h2):
     # subset of the published n grid; the full series is exercised by the
-    # acceptance suite and the experiment scripts
+    # acceptance suite and `expsamp reproduce modular`
     cfg = OperatorConfig(phi=b2, psi=jackson, n=17, a=0.25, b=3.0,
                          quad=QuadratureSpec(abs_tol=1e-6))
     series = modular_convergence_series(parse_phi_spec("power:2"), "max_product",

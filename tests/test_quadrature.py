@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expsamp import (
+    FunctionHandle,
     QuadratureConvergenceError,
     QuadratureSpec,
     bspline_kernel,
@@ -104,6 +105,25 @@ def test_coefficient_one_sentinel_matches_callable(b2, quad):
     v1 = durrmeyer_coefficient(b2, 1, 2, 1.0, math.e**2, "one", quad)
     v2 = durrmeyer_coefficient(b2, 1, 2, 1.0, math.e**2, lambda w: np.ones_like(w), quad)
     assert v1 == pytest.approx(v2, abs=1e-12)
+
+
+def test_coefficient_reads_h_off_its_breakpoints(jackson, h2):
+    # an endpoint node on a declared jump would read the next branch and
+    # send the engine refining towards a jump it was told about
+    seen = []
+
+    def record(w):
+        seen.append(np.log(np.ravel(w)))
+        return h2(w)
+
+    h = FunctionHandle(name="h2-recorded", domain=h2.domain, evaluator=record,
+                       breakpoints=h2.breakpoints)
+    val = durrmeyer_coefficient(jackson, 5, 17, 0.1, 3.0, h, QuadratureSpec(abs_tol=1e-9))
+    ref = durrmeyer_coefficient(jackson, 5, 17, 0.1, 3.0, h2, QuadratureSpec(abs_tol=1e-12))
+    assert val == pytest.approx(ref, abs=1e-9)
+    u = np.concatenate(seen)
+    gaps = np.abs(u[:, None] - np.log(h2.breakpoints)[None, :])
+    assert gaps.min() > 1e-14
 
 
 def _random_piecewise_poly(rng, a, b):
