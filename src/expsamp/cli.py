@@ -394,14 +394,15 @@ def _run_table(cfg: ExperimentConfig) -> dict[str, list]:
     h = _load_function(cfg.test_function, cfg.interval)
     base, built = Path(cfg.output), {}
     for oper in operators:
-        rows = built[oper] = build_error_table(
+        table = build_error_table(
             oper, cfg.phi, cfg.psi, cfg.n_list, points,
             interval=cfg.interval, quad=QuadratureSpec(abs_tol=cfg.quad_tol), which=h,
-        ).rows()
+        )
+        rows = built[oper] = table.rows()
         out = base if len(operators) == 1 else base.with_name(f"{base.stem}_{oper}{base.suffix}")
         _write_output(out, cfg.format, dict(cfg.to_dict(), operator=oper),
                       [dataclasses.asdict(r) for r in rows],
-                      lambda path: write_table_csv(rows, path))
+                      lambda path: write_table_csv(rows, path), warnings=table.warnings)
         click.echo(f"{oper}: wrote {out} ({len(rows)} rows, "
                    f"{sum(r.skipped for r in rows)} skipped)")
     return built

@@ -16,6 +16,16 @@ The coefficients do not depend on w, so a :class:`DurrmeyerEvaluator` caches
 them per (config, h) pair; the denominator coefficients C_k(1) are shared by
 every evaluation.  Cache fills are idempotent: concurrent readers racing on
 the same key can only install identical arrays, never torn ones.
+
+A fill computes the whole vector at once.  In u = log v every integrand
+psi(e^{-k} v^n) = psi.eval_log(n u - k) is one function shifted by k/n, so a
+composite Gauss-Legendre rule on the lattice of step 1/(2n) in u, which holds
+the knots of every B-spline psi, serves all k with shared psi values
+(:func:`_lattice_rule`).  The rule is exact for B-spline psi against
+piecewise-polynomial h with declared breakpoints and converges fast for the
+analytic sinc-type kernels.  It is run on the lattice and on halved panels;
+when the two disagree by more than abs_tol/(2n) the fill falls back to the
+per-k adaptive :func:`~expsamp.quadrature.durrmeyer_coefficient`.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import KernelDescriptor, compute_metrics
-from .quadrature import QuadratureSpec, durrmeyer_coefficient
+from .quadrature import QuadratureSpec, _leggauss, durrmeyer_coefficient
 
 __all__ = [
     "OperatorConfig",
@@ -51,6 +61,13 @@ _DENOMINATOR_FLOOR = 1e-300
 # Grid points per block in DurrmeyerEvaluator.eval_grid; each block's
 # temporaries take _GRID_BLOCK x |J_n| x 8 bytes (4.3 MB at |J_n| = 132).
 _GRID_BLOCK = 4096
+
+# Kernel values per psi.eval_log call in a batched coefficient fill; the
+# kernels' temporaries then stay a few hundred KB however large n is.
+_PSI_BLOCK = 4096
+
+# fp grace at domain edges: exp(log(b)) may overshoot b by one ulp
+_EDGE_GRACE = 1e-9
 
 # Integer-snap slack for the index-set bounds: n*log(a) is computed in
 # floating point and must not drop/add an index when a is an exact power
@@ -129,8 +146,82 @@ def _skipped(reason: str) -> OperatorEvaluation:
     )
 
 
+def _is_one(h) -> bool:
+    return h is None or (isinstance(h, str) and h == "one")
+
+
+def _finite(vals) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand returned non-finite values")
+    return vals
+
+
+def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, h, q: int) -> np.ndarray:
+    """C_k(h) for every k in ``ks`` from one composite Gauss-Legendre rule.
+
+    The panels are the cells of the lattice of step 1/(q n) in u = log v,
+    clipped to [log a, log b] and cut at h's declared breakpoints.  On a full
+    cell j, node i sits at u = (j + t_i)/(q n), where psi(e^{-k} v^n) reads
+    ``T_i[j - q k] = psi.eval_log((j - q k + t_i)/q)``: one column T_i serves
+    every k, and each coefficient is a sum over i of correlations of T_i with
+    the weighted h values, strided by q.  The other pieces, at the two ends
+    and in the cells cut by breakpoints, are summed directly.  ``h`` is read
+    once, at Gauss nodes only, so never on a panel edge.
+    """
+    n, psi = cfg.n, cfg.psi
+    x, wg = _leggauss(cfg.quad.panel_nodes)
+    t, wt = 0.5 * (1.0 + x), 0.5 * wg
+    step = 1.0 / (q * n)
+    # interval ends, breakpoints and panel edges in lattice units s = u / step
+    lo, hi = math.log(cfg.a) / step, math.log(cfg.b) / step
+    one = _is_one(h)
+    bps = () if one else getattr(h, "breakpoints", ()) or ()
+    cuts = [s for s in (math.log(bp) / step for bp in bps) if lo < s < hi]
+    j0, j1 = math.ceil(lo), math.floor(hi)
+    edges = np.array(sorted({lo, hi, *range(j0, j1 + 1), *cuts}), dtype=float)
+    p0, width = edges[:-1], np.diff(edges)
+    # only a whole lattice cell is a piece of width 1: a knot lies strictly
+    # between any other two edges that far apart
+    is_full = width == 1.0
+    full, p0, width = p0[is_full].astype(int), p0[~is_full], width[~is_full]
+
+    # one read of h over every node of the rule, full cells first
+    u_full = (full[:, None] + t[None, :]) * step
+    u_irr = (p0[:, None] + width[:, None] * t[None, :]) * step
+    u = np.concatenate([u_full.ravel(), u_irr.ravel()])
+    hv = np.ones(u.size) if one else _finite(np.broadcast_to(h(np.exp(u)), u.shape))
+    hv_full = hv[:u_full.size].reshape(u_full.shape)
+    hv_irr = hv[u_full.size:].reshape(u_irr.shape)
+
+    # V[j - j0, i]: weighted h on full cell j, zero on the cut cells
+    V = np.zeros((max(j1 - j0, 0), t.size))
+    V[full - j0] = step * wt[None, :] * hv_full
+    W = (width[:, None] * step * wt[None, :]) * hv_irr
+    kmin, kmax = int(ks[0]), int(ks[-1])
+    d = np.arange(j0 - q * kmax, j1 - q * kmin)
+    acc = np.zeros(ks.size)
+    # psi is read a few nodes at a time, about _PSI_BLOCK values per call
+    per = max(1, _PSI_BLOCK // max(d.size, ks.size * p0.size, 1))
+    for c in range(0, t.size, per):
+        nodes = slice(c, c + per)
+        if full.size:
+            T = _finite(psi.eval_log((d[:, None] + t[None, nodes]) / q))
+            for T_i, V_i in zip(T.T, V[:, nodes].T):
+                # correlate(T_i, V_i)[q (kmax - k)] = sum_j T_i[j - q k - d[0]] V_i[j - j0]
+                acc += np.correlate(T_i, V_i, "valid")[::q][::-1]
+        if p0.size:
+            P = _finite(psi.eval_log(n * u_irr[None, :, nodes] - ks[:, None, None]))
+            acc += P.reshape(ks.size, -1) @ W[:, nodes].ravel()
+    return n * acc
+
+
 class DurrmeyerEvaluator:
-    """Coefficient cache plus vectorized evaluation for one config."""
+    """Coefficient cache plus vectorized evaluation for one config.
+
+    ``engines`` records, per cached handle, which engine filled its
+    coefficients: ``"batched"`` or ``"adaptive: <reason>"``.
+    """
 
     def __init__(self, cfg: OperatorConfig):
         self.cfg = cfg
@@ -140,17 +231,47 @@ class DurrmeyerEvaluator:
         self.ks = np.asarray(ks, dtype=float)
         self._coeffs: dict[object, np.ndarray] = {}
         self._range_flags: dict[object, str | None] = {}
+        self.engines: dict[object, str] = {}
 
     def coefficients(self, h) -> np.ndarray:
-        """C_k(h) for every k in the index set; memoized per handle."""
-        key = "one" if (h is None or (isinstance(h, str) and h == "one")) else h
+        """C_k(h) for every k in the index set; memoized per handle.
+
+        A miss runs :func:`_lattice_rule` on the lattice of step 1/(2n) and on
+        halved panels and keeps the finer vector when the two differ by at
+        most abs_tol/(2n) everywhere.  Otherwise every coefficient is
+        recomputed by the per-k adaptive ``durrmeyer_coefficient`` and the
+        reason is logged at INFO on the ``expsamp`` logger.  A handle whose
+        ``domain`` does not cover [a, b] is rejected with ``ValueError``
+        before it is read.
+        """
+        key = "one" if _is_one(h) else h
         cached = self._coeffs.get(key)
         if cached is None:
             cfg = self.cfg
-            cached = np.array([
-                durrmeyer_coefficient(cfg.psi, int(k), cfg.n, cfg.a, cfg.b, h, cfg.quad)
-                for k in self.ks
-            ])
+            domain = None if key == "one" else getattr(h, "domain", None)
+            if domain is not None and not (
+                    domain[0] - _EDGE_GRACE <= cfg.a and cfg.b <= domain[1] + _EDGE_GRACE):
+                raise ValueError(
+                    f"{getattr(h, 'name', 'handle')} is defined on [{domain[0]:g}, "
+                    f"{domain[1]:g}], which does not cover [{cfg.a:g}, {cfg.b:g}]")
+            coarse = _lattice_rule(cfg, self.ks, h, 2)
+            cached = _lattice_rule(cfg, self.ks, h, 4)
+            delta = float(np.max(np.abs(cached - coarse)))
+            limit = cfg.quad.abs_tol / (2 * cfg.n)
+            engine = "batched"
+            if not delta <= limit:
+                engine = f"adaptive: halved-panel difference {delta:.3g} > {limit:.3g}"
+                # imported here: a run without fallbacks never loads logging
+                import logging
+
+                logging.getLogger("expsamp").info(
+                    "coefficients of %s for psi=%s, n=%d on [%g, %g]: %s",
+                    getattr(h, "name", h), cfg.psi.name, cfg.n, cfg.a, cfg.b, engine)
+                cached = np.array([
+                    durrmeyer_coefficient(cfg.psi, int(k), cfg.n, cfg.a, cfg.b, h, cfg.quad)
+                    for k in self.ks
+                ])
+            self.engines[key] = engine
             self._coeffs[key] = cached
         return cached
 

@@ -321,6 +321,11 @@ def durrmeyer_coefficient(
     ``_SEGMENT_NUDGE`` inside the segment, so the endpoint nodes of the
     Clenshaw-Curtis companion read the segment's own branch and the adaptive
     engine is never charged for localizing a known jump.
+
+    This is the per-k reference engine.  ``DurrmeyerEvaluator.coefficients``
+    fills whole coefficient vectors from one lattice-aligned Gauss-Legendre
+    rule and falls back to this function, k by k, only when that rule's
+    halved-panel check fails; the tests compare the two.
     """
     if not (a > 0 and b > a):
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")

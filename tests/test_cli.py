@@ -144,6 +144,24 @@ def test_table_both_operators(runner, tmp_path):
     assert rows == 8
 
 
+def test_table_mirror_keeps_max_min_range_warning(runner, tmp_path):
+    samples = tmp_path / "fn.csv"
+    samples.write_text("w,value\n" + "".join(f"{w},1.5\n" for w in (0.5, 1.0, 2.0, 4.0, 8.0)))
+    out = tmp_path / "pair.csv"
+    res = runner.invoke(main, [
+        "table", "--operator", "both", "--phi", "bspline:2", "--psi", "bspline:2",
+        "--n-list", "3,4", "--points", "1.5,2.0", "--interval", "1:7.389",
+        "--function", str(samples), "--quad-tol", "1e-8", "--output", str(out),
+    ])
+    assert res.exit_code == 0, res.output
+    product = json.loads((tmp_path / "pair_max_product.csv.json").read_text())
+    maxmin = json.loads((tmp_path / "pair_max_min.csv.json").read_text())
+    assert product["warnings"] == []
+    # one message for all four cells
+    assert len(maxmin["warnings"]) == 1
+    assert "outside guarantee range" in maxmin["warnings"][0]
+
+
 def test_table_h2_default_interval(runner, tmp_path):
     out = tmp_path / "h2.csv"
     res = runner.invoke(main, [

@@ -1,4 +1,6 @@
+import logging
 import math
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from expsamp import (
     DurrmeyerEvaluator,
+    FunctionHandle,
     KernelDescriptor,
     OperatorConfig,
     PreconditionError,
@@ -14,10 +17,12 @@ from expsamp import (
     brute_force_oracle,
     denominator_lower_bound_check,
     get_evaluator,
+    get_test_function,
     index_set,
     max_min_eval,
     max_product_eval,
     maxmin_algebra_checks,
+    parse_kernel_spec,
 )
 from expsamp import operators
 from helpers import (
@@ -291,3 +296,157 @@ def test_pointwise_convergence_smooth(b3, fejer, h1):
                              quad=QuadratureSpec(abs_tol=1e-9))
         errs.append(abs(max_product_eval(h1, cfg, 1.5).value - float(h1(1.5))))
     assert errs[1] < errs[0]
+
+
+# ---------------------------------------------------------------------------
+# the batched coefficient engine against the per-k reference
+# ---------------------------------------------------------------------------
+
+def _steps(edges, values, name="steps", domain=(0.01, 10.0)):
+    """Piecewise-constant handle: ``values[i]`` on [edges[i], edges[i + 1])."""
+    cuts = np.asarray(edges, dtype=float)
+
+    def evaluate(w):
+        idx = np.searchsorted(cuts, np.asarray(w, dtype=float), side="right")
+        return np.asarray(values, dtype=float)[idx]
+
+    return FunctionHandle(name=name, domain=domain, evaluator=evaluate,
+                          breakpoints=tuple(float(c) for c in edges))
+
+
+def _bspline_cdf(order, x):
+    # int_{-inf}^x M_order = sum_{j >= 0} M_{order+1}(x - 1/2 - j), by
+    # telescoping M_{order+1}' (x) = M_order(x + 1/2) - M_order(x - 1/2)
+    x = np.clip(np.asarray(x, dtype=float), -order / 2, order / 2)
+    nxt = bspline_kernel(order + 1)
+    return sum(nxt.eval_log(x - 0.5 - j) for j in range(order + 1))
+
+
+def _exact_bspline_coefficients(cfg, ks, handle):
+    """C_k of a piecewise-constant handle against B-spline psi, in closed form."""
+    order = int(cfg.psi.params[0])
+    inner = [bp for bp in getattr(handle, "breakpoints", ()) if cfg.a < bp < cfg.b]
+    edges = np.log([cfg.a, *inner, cfg.b])
+    mids = np.exp(0.5 * (edges[:-1] + edges[1:]))
+    values = np.ones(mids.size) if handle == "one" else np.asarray(handle(mids), dtype=float)
+    out = np.zeros(len(ks))
+    for u0, u1, v in zip(edges[:-1], edges[1:], values):
+        out += v * (_bspline_cdf(order, cfg.n * u1 - ks) - _bspline_cdf(order, cfg.n * u0 - ks))
+    return out
+
+
+_STEPS = _steps((0.37, 1.1, 2.2), (0.3, 0.2, 0.9, 0.4, 0.6))
+
+
+@pytest.mark.parametrize("which", ["one", "h1", "h2", "steps"])
+@pytest.mark.parametrize("psi_spec", [
+    "bspline:2", "bspline:3", "bspline:5", "fejer:pi:0", "jackson:1.05:1"])
+def test_batched_coefficients_match_per_k(psi_spec, which):
+    # log(0.1) and log(3) lie off the lattice of step 1/(2n) = 1/106
+    psi = parse_kernel_spec(psi_spec)
+    cfg = OperatorConfig(phi=bspline_kernel(2), psi=psi, n=53, a=0.1, b=3.0,
+                         quad=QuadratureSpec(abs_tol=1e-9))
+    h = {"one": "one", "steps": _STEPS}.get(which) or get_test_function(which)
+    ev = DurrmeyerEvaluator(cfg)
+    got = ev.coefficients(h)
+    assert ev.engines[h] == "batched"
+    sub = slice(None, None, 10)
+    ref = [operators.durrmeyer_coefficient(psi, int(k), cfg.n, cfg.a, cfg.b, h, cfg.quad)
+           for k in ev.ks[sub]]
+    np.testing.assert_allclose(got[sub], ref, rtol=0, atol=cfg.quad.abs_tol)
+    if psi.family == "bspline" and which in ("one", "steps"):
+        # the rule is exact on every panel there
+        np.testing.assert_allclose(
+            got, _exact_bspline_coefficients(cfg, ev.ks, h), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("handle", [
+    # exp(10/34) is a knot of the lattice at n = 17, halved panels included
+    _steps((math.exp(10 / 34), 1.9), (0.2, 0.7, 0.5), name="on-knot"),
+    # only the middle value is ever read on [0.25, 3]
+    _steps((0.05, 1.3, 5.0), (9.0, 0.4, 0.8, 9.0), name="outside"),
+], ids=["breakpoint-on-knot", "breakpoints-outside"])
+def test_batched_breakpoint_placement(b3, handle):
+    cfg = OperatorConfig(phi=b3, psi=b3, n=17, a=0.25, b=3.0)
+    ev = DurrmeyerEvaluator(cfg)
+    got = ev.coefficients(handle)
+    assert ev.engines[handle] == "batched"
+    np.testing.assert_allclose(
+        got, _exact_bspline_coefficients(cfg, ev.ks, handle), rtol=0, atol=1e-12)
+
+
+def test_batched_without_full_panels(b3):
+    # a breakpoint in every cell of the halved-panel lattice (step 1/4)
+    # leaves neither rule a single full panel
+    cuts = tuple(math.exp(0.1 + 0.25 * i) for i in range(5))
+    handle = _steps(cuts, (0.1, 0.9, 0.3, 0.8, 0.2, 0.6), name="all-cut")
+    cfg = OperatorConfig(phi=b3, psi=b3, n=1, a=1.0, b=math.exp(1.2))
+    ev = DurrmeyerEvaluator(cfg)
+    got = ev.coefficients(handle)
+    assert ev.engines[handle] == "batched"
+    np.testing.assert_allclose(
+        got, _exact_bspline_coefficients(cfg, ev.ks, handle), rtol=0, atol=1e-12)
+    # an interval inside one lattice cell (OperatorConfig itself requires
+    # b/a > e^(1/n), so the rule is called directly)
+    short = types.SimpleNamespace(psi=b3, n=1, a=math.exp(0.05), b=math.exp(0.45),
+                                  quad=QuadratureSpec())
+    ks = np.array([-1.0, 0.0, 1.0])
+    for q in (2, 4):
+        np.testing.assert_allclose(operators._lattice_rule(short, ks, handle, q),
+                                   _exact_bspline_coefficients(short, ks, handle),
+                                   rtol=0, atol=1e-12)
+
+
+def test_batched_fill_does_not_depend_on_psi_block(jackson, h2, monkeypatch):
+    cfg = OperatorConfig(phi=jackson, psi=jackson, n=17, a=0.1, b=3.0,
+                         quad=QuadratureSpec(abs_tol=1e-9))
+    fills = []
+    for block in (operators._PSI_BLOCK, 1):
+        monkeypatch.setattr(operators, "_PSI_BLOCK", block)
+        ev = DurrmeyerEvaluator(cfg)
+        fills.append(ev.coefficients(h2))
+        assert ev.engines[h2] == "batched"
+    np.testing.assert_allclose(fills[1], fills[0], rtol=0, atol=1e-14)
+
+
+def test_undeclared_jump_falls_back(jackson, h2, caplog):
+    blind = FunctionHandle(name="h2-undeclared", domain=h2.domain, evaluator=h2.evaluator)
+    cfg = OperatorConfig(phi=jackson, psi=jackson, n=17, a=0.1, b=3.0,
+                         quad=QuadratureSpec(abs_tol=1e-9))
+    ev = DurrmeyerEvaluator(cfg)
+    with caplog.at_level(logging.INFO, logger="expsamp"):
+        got = ev.coefficients(blind)
+    assert ev.engines[blind].startswith("adaptive: halved-panel difference")
+    assert any(ev.engines[blind] in r.getMessage() for r in caplog.records)
+    sub = slice(None, None, 10)
+    ref = [operators.durrmeyer_coefficient(jackson, int(k), cfg.n, cfg.a, cfg.b, h2, cfg.quad)
+           for k in ev.ks[sub]]
+    np.testing.assert_allclose(got[sub], ref, rtol=0, atol=cfg.quad.abs_tol)
+
+
+def test_nan_from_h_raises(b3, monkeypatch):
+    cfg = OperatorConfig(phi=b3, psi=b3, n=5, a=0.25, b=3.0)
+    holey = FunctionHandle(name="holey", domain=(0.1, 5.0), evaluator=lambda w: np.where(
+        np.asarray(w) > 1.5, np.nan, 0.5))
+
+    def no_fallback(*args):
+        raise AssertionError("a non-finite h must not reach the per-k engine")
+
+    monkeypatch.setattr(operators, "durrmeyer_coefficient", no_fallback)
+    with pytest.raises(ValueError, match="non-finite"):
+        DurrmeyerEvaluator(cfg).coefficients(holey)
+
+
+def test_handle_domain_must_cover_interval(b3, h2):
+    reads = []
+
+    def record(w):
+        reads.append(w)
+        return h2(w)
+
+    cfg = OperatorConfig(phi=b3, psi=b3, n=5, a=0.25, b=4.0)
+    short = FunctionHandle(name="h2-recorded", domain=h2.domain, evaluator=record,
+                           breakpoints=h2.breakpoints)
+    with pytest.raises(ValueError, match="does not cover"):
+        DurrmeyerEvaluator(cfg).coefficients(short)
+    assert reads == []
