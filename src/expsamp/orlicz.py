@@ -16,12 +16,13 @@ Three gauge families are provided:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .operators import OperatorConfig, get_evaluator
-from .quadrature import QuadratureSpec, integrate_log
+from .quadrature import QuadratureSpec, _integrate_segments, integrate_log
 
 __all__ = [
     "PhiFunction",
@@ -87,9 +88,8 @@ class PhiFunction:
         if np.any(arr < 0):
             raise ValueError("gauge argument must be nonnegative")
         if self.family == "power":
-            # overflow to inf is deliberate here; the quadrature engine
-            # rejects non-finite integrands and callers treat that as an
-            # above-one modular
+            # overflow to inf is deliberate here; ``modular`` reports it
+            # as an OrliczOverflowError
             with np.errstate(over="ignore"):
                 out = arr ** self.params[0]
         elif self.family == "exp_power":
@@ -158,29 +158,51 @@ def modular(
     lam: float = 1.0,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> ModularReport:
-    """``int_a^b zeta(lam |h(w)|) dw/w``."""
+    """``int_a^b zeta(lam |h(w)|) dw/w``.
+
+    The range is pre-split at ``h``'s declared breakpoints, which share the
+    budget ``spec.abs_tol``.  A non-finite value of ``h`` raises ValueError
+    naming the handle; a gauge value that overflows (to inf, or past the
+    exponential gauge's guard) raises OrliczOverflowError naming ``lam``.
+    """
     if not (a > 0 and b > a):
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
     if not lam > 0:
         raise ValueError("lam must be positive")
 
-    def g(u: np.ndarray) -> np.ndarray:
-        return np.asarray(phi(lam * np.abs(np.asarray(h(np.exp(u)), dtype=float))))
+    def f(u: np.ndarray, hu: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(hu)):
+            name = getattr(h, "name", None) or getattr(h, "__name__", repr(h))
+            raise ValueError(f"signal {name} returned non-finite values")
+        out = np.asarray(phi(lam * np.abs(hu)))
+        if not np.all(np.isfinite(out)):
+            raise OrliczOverflowError(f"{phi.name} gauge overflowed to inf")
+        return out
 
     try:
-        value = integrate_log(g, math.log(a), math.log(b), spec).value
+        value = _integrate_segments(f, h, math.log(a), math.log(b), spec)
     except OrliczOverflowError as exc:
         raise OrliczOverflowError(f"modular overflow at lambda={lam:g}: {exc}") from exc
     return ModularReport(modular_value=value, lam=lam, interval=(a, b))
 
 
 def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -> float:
-    """Luxemburg norm by bisection on the scaling parameter.
+    """Luxemburg norm ``inf { l > 0 : I[h / l] <= 1 }``.
 
-    The bracket is grown geometrically from 1 until the modular crosses 1,
-    then bisected to width ``tol``.  An overflow of the exponential gauge
-    counts as "modular above 1".  Identically-zero handles (detected on a
-    1001-point probe grid) have norm 0.
+    The bracket is grown geometrically from 1 until the modular crosses 1.
+    The root of ``f(l) = I[h / l] - 1``, which is convex and non-increasing
+    in ``l`` for a convex gauge, is then bracketed down to width ``tol`` by
+    Illinois regula falsi with two safeguards: each trial point lies at
+    least ``tol/2`` inside the bracket, and when the last three steps
+    together failed to halve the bracket the next step bisects (as does any
+    step while ``f`` is infinite at the lower end).  A gauge overflow counts
+    as ``f = +inf``.  The upper end is returned, so the norm lies in
+    ``(hi - tol, hi]`` up to the modular's quadrature error, as with plain
+    bisection.
+
+    Identically-zero handles (detected on a 1001-point probe grid) have
+    norm 0, and so do handles whose modular stays at most 1 down to scalings
+    of ``2**-64``.  A handle with non-finite values raises ValueError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -190,34 +212,52 @@ def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -
 
     spec = QuadratureSpec(abs_tol=min(1e-10, tol * 1e-3))
 
-    def above_one(ell: float) -> bool:
+    def excess(ell: float) -> float:
         try:
-            return modular(phi, h, a, b, lam=1.0 / ell, spec=spec).modular_value > 1.0
+            return modular(phi, h, a, b, lam=1.0 / ell, spec=spec).modular_value - 1.0
         except OrliczOverflowError:
-            return True
-        except ValueError:
-            # gauge output overflowed to inf inside the quadrature; the
-            # modular is certainly above 1
-            return True
+            return math.inf
 
-    hi = 1.0
-    while above_one(hi):
-        hi *= 2.0
-        if hi > 2.0**64:
-            raise UnboundedNormError("Luxemburg bracket exceeded 2**64")
-    lo = hi / 2.0 if hi > 1.0 else 0.5
-    while not above_one(lo):
-        hi = lo
-        lo /= 2.0
-        if lo < 2.0**-64:
-            # modular stays <= 1 for arbitrarily small scalings: norm is 0
-            return 0.0
+    hi, f_hi = 1.0, excess(1.0)
+    if f_hi > 0:
+        while f_hi > 0:
+            lo, f_lo = hi, f_hi
+            hi *= 2.0
+            if hi > 2.0**64:
+                raise UnboundedNormError("Luxemburg bracket exceeded 2**64")
+            f_hi = excess(hi)
+    else:
+        lo, f_lo = 0.5, excess(0.5)
+        while f_lo <= 0:
+            hi, f_hi = lo, f_lo
+            lo /= 2.0
+            if lo < 2.0**-64:
+                # modular stays <= 1 for arbitrarily small scalings: norm is 0
+                return 0.0
+            f_lo = excess(lo)
+
+    # f_lo > 0 >= f_hi from here on
+    kept = 0  # +1 / -1 when hi / lo was kept by the last step
+    widths = deque([math.inf] * 3, maxlen=3)  # before each of the last 3 steps
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if above_one(mid):
-            lo = mid
+        width = hi - lo
+        if math.isinf(f_lo) or width > 0.5 * widths[0]:
+            x = 0.5 * (lo + hi)
         else:
-            hi = mid
+            x = hi - f_hi * width / (f_hi - f_lo)
+            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        widths.append(width)
+        f_x = excess(x)
+        if f_x > 0:
+            lo, f_lo = x, f_x
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, f_x
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
     return hi
 
 

@@ -41,8 +41,8 @@ __all__ = [
 # roughly max_depth panels per discontinuity, oscillatory ones a few hundred.
 _MAX_PANELS = 40_000
 
-# Distance (in log w) inside a pre-split segment at which a coefficient
-# integrand reads h, so that a node on a declared jump sees one branch only.
+# Distance (in log w) inside a pre-split segment at which an integrand reads
+# h, so that a node on a declared jump sees one branch only.
 _SEGMENT_NUDGE = 1e-12
 
 
@@ -111,15 +111,6 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
         c = 1.0 if i in (0, n) else 2.0
         w[i] = c / n * (1.0 - s)
     return x, w
-
-
-def _panel(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, nodes: int) -> float:
-    x, w = _leggauss(nodes)
-    half = 0.5 * (hi - lo)
-    vals = np.asarray(g(0.5 * (hi + lo) + half * x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"integrand returned non-finite values on [{lo}, {hi}]")
-    return half * float(np.dot(w, vals))
 
 
 def integrate_log(
@@ -204,7 +195,13 @@ def integrate_log(
     floored = []  # estimate at its own rounding floor; awaiting a sweep
     capped = []   # at max_depth or cross-checked floor, never split again
     edges = np.linspace(lo, hi, 2**init_depth + 1)
-    coarse0 = [_panel(g, a0, b0, nodes) for a0, b0 in zip(edges[:-1], edges[1:])]
+    # the coarse Gauss values of the initial panels, from one integrand call
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    pts = (0.5 * (edges[1:] + edges[:-1]))[:, None] + halves[:, None] * xg
+    vals = np.asarray(g(pts.ravel()), dtype=float).reshape(pts.shape)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"integrand returned non-finite values on [{lo}, {hi}]")
+    coarse0 = [float(half) * float(np.dot(wg, row)) for half, row in zip(halves, vals)]
     heap = make_entries([
         (a0, b0, init_depth, c0)
         for (a0, b0, c0) in zip(edges[:-1], edges[1:], coarse0)
@@ -316,11 +313,9 @@ def durrmeyer_coefficient(
     When ``psi`` has bounded support the integration range is clipped, in log
     coordinates, to the preimage of the support; an empty preimage yields an
     exact 0.0 without running any quadrature.  If ``h`` declares breakpoints
-    (known discontinuities), the range is additionally pre-split there, and on
-    each segment ``h`` (not ``psi``) is evaluated at points clamped
-    ``_SEGMENT_NUDGE`` inside the segment, so the endpoint nodes of the
-    Clenshaw-Curtis companion read the segment's own branch and the adaptive
-    engine is never charged for localizing a known jump.
+    (known discontinuities), the range is additionally pre-split there and
+    ``h`` (not ``psi``) is read strictly inside each segment; see
+    ``_integrate_segments``.
 
     This is the per-k reference engine.  ``DurrmeyerEvaluator.coefficients``
     fills whole coefficient vectors from one lattice-aligned Gauss-Legendre
@@ -340,27 +335,44 @@ def durrmeyer_coefficient(
             return 0.0
 
     one = h is None or (isinstance(h, str) and h == "one")
-    cuts = [lo, hi] if one else sorted({lo, hi, *(
-        math.log(bp) for bp in getattr(h, "breakpoints", ()) or ()
-        if lo < math.log(bp) < hi
-    )})
+
+    def f(u: np.ndarray, hu: np.ndarray | None) -> np.ndarray:
+        vals = psi.eval_log(n * u - k)
+        return vals if hu is None else vals * hu
 
     # The n prefactor is applied after integration; the inner budget is
     # spec.abs_tol / (2n) so the delivered coefficient error stays below
     # abs_tol/2 (linear combinations of coefficients then stay within the
-    # documented 2*abs_tol), shared across the pre-split segments.
+    # documented 2*abs_tol).
+    return n * _integrate_segments(f, None if one else h, lo, hi, spec, divisor=2 * n)
+
+
+def _integrate_segments(f, h, lo: float, hi: float, spec: QuadratureSpec, divisor: int = 1) -> float:
+    """``int_lo^hi f(u, h(e^u)) du``, pre-split at ``h``'s declared breakpoints.
+
+    The breakpoints whose logarithm lies strictly inside ``[lo, hi]`` cut the
+    range into ``nseg`` segments, each integrated by ``integrate_log`` to
+    ``spec.abs_tol / (divisor * nseg)``.  When the range is cut, ``h`` is read
+    at ``u`` clamped ``_SEGMENT_NUDGE`` (at most a quarter of the segment)
+    inside each segment, so the endpoint nodes of the Clenshaw-Curtis
+    companion read the segment's own branch and the engine is never charged
+    for localizing a known jump.  ``h=None`` stands for no signal: ``f``
+    receives None and the range is not cut.
+    """
+    cuts = sorted({lo, hi, *(
+        math.log(bp) for bp in getattr(h, "breakpoints", ()) or ()
+        if lo < math.log(bp) < hi
+    )})
     nseg = len(cuts) - 1
-    inner = QuadratureSpec(spec.abs_tol / (2 * n * nseg), spec.max_depth, spec.panel_nodes)
+    inner = QuadratureSpec(spec.abs_tol / (divisor * nseg), spec.max_depth, spec.panel_nodes)
     acc = 0.0
     for s0, s1 in zip(cuts, cuts[1:]):
-        # h jumps at the inner cuts: read it strictly inside the segment so
-        # the engine's endpoint nodes see this segment's branch only
         nudge = min(_SEGMENT_NUDGE, 0.25 * (s1 - s0))
         ulo, uhi = (s0 + nudge, s1 - nudge) if nseg > 1 else (-math.inf, math.inf)
 
         def g(u: np.ndarray, ulo=ulo, uhi=uhi) -> np.ndarray:
-            vals = psi.eval_log(n * u - k)
-            return vals if one else vals * np.asarray(h(np.exp(np.clip(u, ulo, uhi))), dtype=float)
+            hu = None if h is None else np.asarray(h(np.exp(np.clip(u, ulo, uhi))), dtype=float)
+            return f(u, hu)
 
         acc += integrate_log(g, s0, s1, inner).value
-    return n * acc
+    return acc

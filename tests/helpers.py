@@ -13,23 +13,28 @@ import numpy as np
 from expsamp import FunctionHandle, OperatorConfig, QuadratureSpec, bspline_kernel
 
 
-def piecewise_constant_handle(rng, a, b, lo=0.0, hi=1.0, max_pieces=4, name="pc"):
-    npieces = int(rng.integers(1, max_pieces + 1))
-    cuts = np.sort(rng.uniform(a, b, npieces - 1)) if npieces > 1 else np.array([])
-    values = rng.uniform(lo, hi, npieces)
-    edges = np.concatenate([[a], cuts, [b]])
+def step_handle(edges, values, breakpoints, name="steps"):
+    """``values[i]`` on ``[edges[i], edges[i+1])``, declaring ``breakpoints``."""
+    edges, values = np.asarray(edges, dtype=float), np.asarray(values, dtype=float)
 
     def evaluate(w):
         w = np.asarray(w, dtype=float)
-        idx = np.clip(np.searchsorted(edges, w, side="right") - 1, 0, npieces - 1)
+        idx = np.clip(np.searchsorted(edges, w, side="right") - 1, 0, values.size - 1)
         out = values[idx]
         return float(out) if out.ndim == 0 else out
 
     return FunctionHandle(
-        name=name, domain=(a, b), evaluator=evaluate,
+        name=name, domain=(float(edges[0]), float(edges[-1])), evaluator=evaluate,
         declared_range=(float(values.min()), float(values.max())),
-        breakpoints=tuple(float(c) for c in cuts),
+        breakpoints=tuple(float(c) for c in breakpoints),
     )
+
+
+def piecewise_constant_handle(rng, a, b, lo=0.0, hi=1.0, max_pieces=4, name="pc"):
+    npieces = int(rng.integers(1, max_pieces + 1))
+    cuts = np.sort(rng.uniform(a, b, npieces - 1)) if npieces > 1 else np.array([])
+    values = rng.uniform(lo, hi, npieces)
+    return step_handle(np.concatenate([[a], cuts, [b]]), values, cuts, name)
 
 
 def smooth_handle(rng, a, b, name="smooth"):

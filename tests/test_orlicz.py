@@ -1,10 +1,12 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from expsamp import (
+    FunctionHandle,
     OperatorConfig,
     OrliczOverflowError,
     PhiSpecError,
@@ -16,8 +18,10 @@ from expsamp import (
     modular_convergence_series,
     modular_domination_ratio,
     parse_phi_spec,
+    quadrature,
 )
-from helpers import piecewise_constant_handle
+from expsamp import orlicz
+from helpers import piecewise_constant_handle, step_handle
 
 
 def _const(c):
@@ -27,6 +31,31 @@ def _const(c):
 
 
 GRID = np.geomspace(1e-3, 1e3, 121)
+GAUGES = ("power:2.5", "powerlog:1:1", "exppower:1")
+
+
+def _closed_form_modular(gauge, edges, values, a, b, lam=1.0):
+    """``sum zeta(|c_i| lam) log(t_{i+1}/t_i)`` over the pieces clipped to [a, b]."""
+    return math.fsum(
+        float(gauge(abs(c) * lam)) * math.log(min(t1, b) / max(t0, a))
+        for t0, t1, c in zip(edges, edges[1:], values) if min(t1, b) > max(t0, a))
+
+
+def _closed_form_norm(gauge, edges, values):
+    """Luxemburg norm of a step signal by scalar bisection to the last bit."""
+    def above_one(ell):
+        try:
+            return _closed_form_modular(gauge, edges, values, edges[0], edges[-1], 1.0 / ell) > 1.0
+        except OrliczOverflowError:
+            return True
+
+    lo, hi = 1e-12, 1.0
+    while above_one(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if above_one(mid) else (lo, mid)
+    return hi
 
 
 def test_parse_phi_spec():
@@ -89,6 +118,63 @@ def test_modular_overflow_names_lambda():
         modular(e1, _const(1.0), 1.0, math.e, lam=1000.0)
 
 
+@pytest.mark.parametrize("spec_text", GAUGES)
+@pytest.mark.parametrize("edges,values,breakpoints", [
+    pytest.param([0.5, 1.3, 2.2, 4.0], [2.0, 0.4, 1.7], (1.3, 2.2), id="inside"),
+    pytest.param([0.4, 0.5, 1.0, 2.2, 3.0, 3.7, 4.0], [0.3, 2.0, 0.4, 1.7, 1.1, 0.8],
+                 (0.5, 1.0, 2.2, 3.0, 3.7), id="at-ends-and-outside"),
+    pytest.param([0.5, 1.3, 2.2, 4.0], [2.0, 0.4, 1.7], (2.2, 1.3, 2.2, 1.3, 2.2),
+                 id="duplicates"),
+    pytest.param([0.5, 1.3, 1.3 * (1 + 5e-13), 2.2, 4.0], [2.0, 0.4, 1.7, 0.9],
+                 (1.3, 1.3 * (1 + 5e-13), 2.2), id="closer-than-1e-12"),
+])
+def test_split_modular_matches_closed_form(spec_text, edges, values, breakpoints, monkeypatch):
+    gauge = parse_phi_spec(spec_text)
+    a, b = 1.0, 3.0
+    h = step_handle(edges, values, breakpoints)
+    # the engine runs once per segment between distinct interior breakpoints,
+    # and the segments share the default budget equally
+    ranges, budgets = [], []
+    engine = quadrature.integrate_log
+
+    def recorded(g, lo, hi, spec):
+        ranges.append((lo, hi))
+        budgets.append(spec.abs_tol)
+        return engine(g, lo, hi, spec)
+
+    monkeypatch.setattr(quadrature, "integrate_log", recorded)
+    for lam in (0.5, 1.0, 2.0):
+        ranges.clear()
+        budgets.clear()
+        got = modular(gauge, h, a, b, lam=lam).modular_value
+        assert got == pytest.approx(_closed_form_modular(gauge, edges, values, a, b, lam),
+                                    rel=0, abs=1e-12)
+        cuts = sorted({math.log(t) for t in edges[1:-1] if a < t < b})
+        assert ranges == list(zip([math.log(a), *cuts], [*cuts, math.log(b)]))
+        assert budgets == [QuadratureSpec().abs_tol / len(ranges)] * len(ranges)
+
+
+def test_split_modular_agrees_with_undeclared_jumps():
+    rng = np.random.default_rng(21)
+    spec = QuadratureSpec(abs_tol=1e-10)
+    for spec_text in GAUGES:
+        gauge = parse_phi_spec(spec_text)
+        for _ in range(3):
+            h = piecewise_constant_handle(rng, 1.0, math.e, lo=0.1, hi=2.0)
+            split = modular(gauge, h, 1.0, math.e, spec=spec).modular_value
+            whole = modular(gauge, lambda w: h(w), 1.0, math.e, spec=spec).modular_value
+            assert split == pytest.approx(whole, rel=0, abs=spec.abs_tol)
+
+
+def test_modular_non_finite_signal_and_gauge_overflow():
+    holey = step_handle([1.0, 2.0, math.e], [0.5, math.nan], (2.0,), name="holey")
+    with pytest.raises(ValueError, match="holey"):
+        modular(parse_phi_spec("power:2"), holey, 1.0, math.e)
+    # a finite signal whose gauge value overflows is an Orlicz overflow
+    with pytest.raises(OrliczOverflowError, match="lambda=1"):
+        modular(parse_phi_spec("power:2"), _const(1e300), 1.0, math.e)
+
+
 def test_luxemburg_unit_constant():
     for p in (1.5, 2.0, 3.0):
         got = luxemburg_norm(parse_phi_spec(f"power:{p}"), _const(1.0), 1.0, math.e, tol=1e-9)
@@ -130,6 +216,85 @@ def test_luxemburg_modular_consistency():
         ell = luxemburg_norm(gauge, h, 1.0, math.e, tol=1e-9)
         val = modular(gauge, lambda w: np.asarray(h(w)) / ell, 1.0, math.e).modular_value
         assert val <= 1.0 + 1e-6
+
+
+@pytest.fixture
+def modular_calls(monkeypatch):
+    """The scaling ``lam`` of every modular run through ``orlicz.modular``."""
+    calls = []
+    engine = orlicz.modular
+
+    def counted(*args, **kw):
+        calls.append(kw["lam"])
+        return engine(*args, **kw)
+
+    monkeypatch.setattr(orlicz, "modular", counted)
+    return calls
+
+
+def test_luxemburg_non_finite_signal_raises(modular_calls):
+    holey = FunctionHandle(name="holey", domain=(1.0, math.e), evaluator=lambda w: np.where(
+        np.asarray(w) > 2.0, np.nan, 0.5))
+    with pytest.raises(ValueError, match="holey"):
+        luxemburg_norm(parse_phi_spec("power:2"), holey, 1.0, math.e)
+    assert len(modular_calls) == 1
+
+
+@pytest.mark.parametrize("spec_text", ["power:p", "powerlog:1:1", "exppower:1"])
+def test_luxemburg_brackets_closed_form(spec_text, modular_calls):
+    rng = np.random.default_rng(22)
+    tol = 1e-9
+    counts = []
+    for _ in range(6):
+        a = float(np.exp(rng.uniform(-1.0, 0.0)))
+        b = float(np.exp(rng.uniform(0.5, 2.0)))
+        p = float(rng.uniform(1.2, 3.5))
+        gauge = parse_phi_spec(f"power:{p!r}" if spec_text == "power:p" else spec_text)
+        h = piecewise_constant_handle(rng, a, b, lo=0.1, hi=3.0, max_pieces=5)
+        edges = [a, *h.breakpoints, b]
+        values = [float(h(0.5 * (t0 + t1))) for t0, t1 in zip(edges, edges[1:])]
+        modular_calls.clear()
+        ell = luxemburg_norm(gauge, h, a, b, tol=tol)
+        want = _closed_form_norm(gauge, edges, values)
+        assert ell - tol < want <= ell
+        counts.append(len(modular_calls))
+    # bisection takes about 33 modulars a norm, regula falsi without the
+    # Illinois halving about 19
+    assert max(counts) <= 22 and statistics.median(counts) <= 15, counts
+
+
+def test_luxemburg_bisects_when_regula_falsi_stalls(monkeypatch):
+    # a modular that leaps across 1 at l = 0.7 keeps every regula falsi
+    # point tol/2 below the upper end; only the forced bisections close the
+    # bracket, at most four steps to each halving
+    def leap(phi, h, a, b, lam, spec):
+        return orlicz.ModularReport(1e300 if 1.0 / lam < 0.7 else 0.5, lam, (a, b))
+
+    calls = []
+    monkeypatch.setattr(orlicz, "modular", lambda *args, **kw: calls.append(1) or leap(*args, **kw))
+    tol = 1e-9
+    ell = luxemburg_norm(parse_phi_spec("power:2"), _const(1.0), 1.0, math.e, tol=tol)
+    assert ell - tol < 0.7 <= ell
+    assert len(calls) <= 2 + 4 * math.ceil(math.log2(0.5 / tol))
+
+
+def test_luxemburg_overflowing_lower_end_bisects(modular_calls):
+    # exppower:1 cannot overflow at the lower bracket end: its zeta(v) is
+    # about zeta(v/2)^2, so an overflow at l/2 means I[h/l] >= e^350 times
+    # the measure of the overflowing set.  A steep exponential gauge can:
+    # here the lower end l = 0.5 overflows while the upper end l = 1 has
+    # I[h] <= 1, so the first step bisects.
+    gauge = parse_phi_spec("exppower:20")
+    edges, values = [1.0, 1.6, math.e], [0.76, 0.6]
+    h = step_handle(edges, values, (1.6,))
+    with pytest.raises(OrliczOverflowError):
+        modular(gauge, h, 1.0, math.e, lam=2.0)
+    tol = 1e-9
+    ell = luxemburg_norm(gauge, h, 1.0, math.e, tol=tol)
+    assert [1.0 / lam for lam in modular_calls[:3]] == pytest.approx([1.0, 0.5, 0.75], rel=1e-15)
+    want = _closed_form_norm(gauge, edges, values)
+    assert ell - tol < want <= ell
+    assert len(modular_calls) <= 22
 
 
 def test_delta2_power_exact():
