@@ -26,6 +26,11 @@ piecewise-polynomial h with declared breakpoints and converges fast for the
 analytic sinc-type kernels.  It is run on the lattice and on halved panels;
 when the two disagree by more than abs_tol/(2n) the fill falls back to the
 per-k adaptive :func:`~expsamp.quadrature.durrmeyer_coefficient`.
+
+On a grid of points, a phi of bounded log support [slo, shi] is nonzero on
+at most ceil(shi - slo) + 1 of the Phi_k(w), so
+:meth:`DurrmeyerEvaluator.eval_grid` reads phi on that band of k only and
+accounts for the zero terms outside it exactly.
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ __all__ = [
 _DENOMINATOR_FLOOR = 1e-300
 
 # Grid points per block in DurrmeyerEvaluator.eval_grid; each block's
-# temporaries take _GRID_BLOCK x |J_n| x 8 bytes (4.3 MB at |J_n| = 132).
+# temporaries take _GRID_BLOCK x (band or |J_n|) x 8 bytes (4.3 MB at
+# |J_n| = 132).
 _GRID_BLOCK = 4096
 
 # Kernel values per psi.eval_log call in a batched coefficient fill; the
@@ -328,27 +334,52 @@ class DurrmeyerEvaluator:
     def eval_grid(self, kind: str, h, ws) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized evaluation over a 1-D grid; returns (values, skipped_mask).
 
+        When phi vanishes outside a bounded log support [slo, shi], a point
+        x = n log w reads only the band of m = ceil(shi - slo) + 1
+        consecutive indices from ceil(x - shi), shifted to lie inside J_n:
+        every k outside it has phi(x - k) = 0.  Those k still enter the
+        maxima over all of J_n, as 0 in the max-product numerator and as
+        min(C_k(h), 0) in max-min, so each band maximum gets one more
+        candidate: 0, and max_k min(C_k(h), 0), which no max-min term of the
+        band falls below because phi >= 0.  The denominator needs none: a
+        band maximum below 0 is skipped as a 0 would be.  The values equal
+        those over all of J_n, which is the band for phi without bounded
+        support or when m >= |J_n|.
+
         The grid is processed in blocks of ``_GRID_BLOCK`` points, so the
-        points x |J_n| temporaries stay a few MB however long the grid is;
-        every point's value is computed exactly as in a single pass.
+        temporaries stay a few MB however long the grid is; every point's
+        value is computed exactly as in a single pass.  A point that is not
+        a positive number raises ValueError.
         """
         if kind not in ("max_product", "max_min"):
             raise ValueError(f"unknown operator kind {kind!r}")
         ws = np.asarray(ws, dtype=float)
+        if not np.all(ws > 0):
+            raise ValueError("evaluation points must be positive numbers")
         c_one, c_h = self.coefficients("one"), self.coefficients(h)
+        phi, size = self.cfg.phi, self.ks.size
+        support = phi.log_support
+        m = size if support is None else min(size, math.ceil(support[1] - support[0]) + 1)
+        banded = m < size
+        cols = np.arange(m)[None, :]
         values = np.empty(ws.shape)
         skipped = np.empty(ws.shape, dtype=bool)
         for start in range(0, ws.size, _GRID_BLOCK):
             block = slice(start, start + _GRID_BLOCK)
-            phim = np.asarray(self.cfg.phi.eval_log(
-                self.cfg.n * np.log(ws[block])[:, None] - self.ks[None, :]))
-            den = (phim * c_one[None, :]).max(axis=1)
+            x = self.cfg.n * np.log(ws[block])
+            if banded:
+                first = np.clip(np.ceil(x - support[1]) - self.ks[0], 0, size - m)
+                cols = first.astype(int)[:, None] + np.arange(m)
+            phim = np.asarray(phi.eval_log(x[:, None] - self.ks[cols]))
+            den = (phim * c_one[cols]).max(axis=1)
             skipped[block] = den < _DENOMINATOR_FLOOR
             den[skipped[block]] = 1.0
             if kind == "max_product":
-                values[block] = (phim * c_h[None, :]).max(axis=1) / den
+                num = (phim * c_h[cols]).max(axis=1)
+                values[block] = (np.maximum(num, 0.0) if banded else num) / den
             else:
-                values[block] = np.minimum(c_h[None, :], phim / den[:, None]).max(axis=1)
+                terms = np.minimum(c_h[cols], phim / den[:, None]).max(axis=1)
+                values[block] = np.maximum(terms, min(c_h.max(), 0.0)) if banded else terms
         values[skipped] = np.nan
         return values, skipped
 

@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import OperatorConfig, get_evaluator
-from .quadrature import QuadratureSpec, _integrate_segments, integrate_log
+from .quadrature import (
+    QuadratureConvergenceError, QuadratureSpec, _integrate_segments, integrate_log,
+)
 
 __all__ = [
     "PhiFunction",
@@ -196,9 +198,10 @@ def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -
     least ``tol/2`` inside the bracket, and when the last three steps
     together failed to halve the bracket the next step bisects (as does any
     step while ``f`` is infinite at the lower end).  A gauge overflow counts
-    as ``f = +inf``.  The upper end is returned, so the norm lies in
-    ``(hi - tol, hi]`` up to the modular's quadrature error, as with plain
-    bisection.
+    as ``f = +inf``, and a modular whose quadrature fails to converge with
+    its estimate more than its error bound above 1 counts as that estimate.
+    The upper end is returned, so the norm lies in ``(hi - tol, hi]`` up to
+    the modular's quadrature error, as with plain bisection.
 
     Identically-zero handles (detected on a 1001-point probe grid) have
     norm 0, and so do handles whose modular stays at most 1 down to scalings
@@ -217,6 +220,13 @@ def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -
             return modular(phi, h, a, b, lam=1.0 / ell, spec=spec).modular_value - 1.0
         except OrliczOverflowError:
             return math.inf
+        except QuadratureConvergenceError as exc:
+            # the absolute budget can lie below the rounding floor of a
+            # modular far above 1, where only the side of 1 matters; the
+            # failing segment's share alone then exceeds 1, as zeta >= 0
+            if exc.estimate - exc.error_bound > 1.0:
+                return exc.estimate - 1.0
+            raise
 
     hi, f_hi = 1.0, excess(1.0)
     if f_hi > 0:

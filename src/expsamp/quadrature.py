@@ -9,13 +9,16 @@ The engine is a globally adaptive bisection scheme.  Each panel carries a
 fixed-order Gauss-Legendre value, the value from halving the panel once, and
 an endpoint-including Clenshaw-Curtis companion of doubled order; the error
 estimate combines both differences so that features hiding in the edge
-shadow of the Gauss nodes are sensed.  Panels sit in a max-heap by estimate
-and the worst one is split until the summed estimate meets the target;
-results are only accepted once every panel's estimate has survived one
-forced cross-check split.  Global (rather than width-proportional) error
-targeting is what lets integrands with jump discontinuities converge: the
-panel straddling a jump keeps shrinking until its O(width) error is
-negligible against the whole-interval budget.
+shadow of the Gauss nodes are sensed.  Panels sit in a max-heap by estimate.
+Refinement runs in rounds, as in Shampine's vectorized adaptive quadrature
+(J. Comput. Appl. Math. 211, 2008): a round pops the worst panels until
+their estimates cover the excess of the summed estimate over the target,
+and splits them all in one integrand call.  Rounds repeat until the summed
+estimate meets the target; results are only accepted once every panel's
+estimate has survived one forced cross-check split.  Global (rather than
+width-proportional) error targeting is what lets integrands with jump
+discontinuities converge: the panel straddling a jump keeps shrinking until
+its O(width) error is negligible against the whole-interval budget.
 """
 
 from __future__ import annotations
@@ -214,8 +217,9 @@ def integrate_log(
         return value, bound
 
     while True:
-        # refinement phase: split the worst panel until the summed internal
-        # estimate meets the target
+        # refinement phase: each round pops the worst panels until their
+        # estimates cover the excess over the target, splits them all in one
+        # integrand call, and repeats until the summed estimate meets it
         total, total_err = totals()
         capped_err = sum(e[6] for e in capped)
         while total_err > target:
@@ -226,31 +230,37 @@ def integrate_log(
                     break  # hand the floored panels to the verification sweep
                 fail(total, total_err,
                      f"at max_depth={spec.max_depth} / estimator floor")
-            item = heapq.heappop(heap)
-            _, _, a, b, depth, fine, err, lc, rc, verified = item
-            if depth >= spec.max_depth:
-                capped.append(item)
-                capped_err += err
-                continue
-            # splitting a panel whose estimate sits at the rounding floor of
-            # its own magnitude is unproductive; park it for the next sweep
-            # (or retire it if a sweep has already cross-checked it)
-            if err <= 8 * 2.3e-16 * (abs(lc) + abs(rc)):
-                if verified:
+            tasks, split, popped = [], [], 0.0
+            while heap and popped < total_err - target:
+                item = heapq.heappop(heap)
+                _, _, a, b, depth, fine, err, lc, rc, verified = item
+                popped += err
+                if depth >= spec.max_depth:
                     capped.append(item)
                     capped_err += err
-                else:
-                    floored.append(item)
+                    continue
+                # splitting a panel whose estimate sits at the rounding floor
+                # of its own magnitude is unproductive; park it for the next
+                # sweep (or retire it if a sweep has already cross-checked it)
+                if err <= 8 * 2.3e-16 * (abs(lc) + abs(rc)):
+                    if verified:
+                        capped.append(item)
+                        capped_err += err
+                    else:
+                        floored.append(item)
+                    continue
+                mid = 0.5 * (a + b)
+                tasks += [(a, mid, depth + 1, lc), (mid, b, depth + 1, rc)]
+                split.append(item)
+            if not tasks:
                 continue
-            if len(heap) + len(floored) + len(capped) + 2 > _MAX_PANELS:
+            if len(heap) + len(floored) + len(capped) + len(tasks) > _MAX_PANELS:
                 fail(total, total_err, "within panel budget")
-            mid = 0.5 * (a + b)
-            e1, e2 = make_entries(
-                [(a, mid, depth + 1, lc), (mid, b, depth + 1, rc)], verified=False)
-            total += (e1[5] + e2[5]) - fine
-            total_err += (e1[6] + e2[6]) - err
-            heapq.heappush(heap, e1)
-            heapq.heappush(heap, e2)
+            entries = make_entries(tasks, verified=False)
+            total += sum(e[5] for e in entries) - sum(e[5] for e in split)
+            total_err += sum(e[6] for e in entries) - sum(e[6] for e in split)
+            for entry in entries:
+                heapq.heappush(heap, entry)
 
         # verification phase: force-split every panel not yet cross-checked
         # (parked floored ones included, so a deceptive near-zero estimate

@@ -153,6 +153,84 @@ def test_eval_grid_blocks_match_per_block_calls(b2, h2, monkeypatch):
         assert np.array_equal(skipped, np.concatenate([p[1] for p in parts]))
 
 
+def _dense_grid(ev, kind, h, ws):
+    """eval_grid's maxima taken over every k in J_n, the band's reference."""
+    phim = np.asarray(ev.cfg.phi.eval_log(ev.cfg.n * np.log(ws)[:, None] - ev.ks[None, :]))
+    c_one, c_h = ev.coefficients("one"), ev.coefficients(h)
+    den = (phim * c_one[None, :]).max(axis=1)
+    skipped = den < operators._DENOMINATOR_FLOOR
+    den[skipped] = 1.0
+    if kind == "max_product":
+        values = (phim * c_h[None, :]).max(axis=1) / den
+    else:
+        values = np.minimum(c_h[None, :], phim / den[:, None]).max(axis=1)
+    values[skipped] = np.nan
+    return values, skipped
+
+
+def _b2_support_kernel(name, evaluate):
+    # a custom phi declaring B2's log support [-1, 1]
+    phi = KernelDescriptor(name=name, family="bspline", params=(2.0,),
+                           support=(math.exp(-1.0), math.e))
+    object.__setattr__(phi, "eval_log", lambda x: evaluate(np.asarray(x, dtype=float)))
+    return phi
+
+
+_CUSTOM_PHI = {
+    # B2 cut to |x| < 1/4: points between the cut supports get no weight
+    "gapped": lambda x: np.where(np.abs(x) < 0.25, 1.0 - np.abs(x), 0.0),
+    # 1 on the closed support: at x - 1 an integer all three band columns
+    # carry weight, so no band term is a zero
+    "box": lambda x: np.where(np.abs(x) <= 1.0, 1.0, 0.0),
+}
+
+# a signal of both signs: where it is negative, all max-product band terms
+# of the box phi are negative and the k outside the band give 0; and a
+# negative one, whose max-min value is max_k C_k(h), mostly from outside
+# the band
+_SIGNED = FunctionHandle(name="signed", domain=(0.01, 10.0),
+                         evaluator=lambda w: np.sin(4.0 * np.log(np.asarray(w, dtype=float))))
+_NEGATIVE = FunctionHandle(name="negative", domain=(0.01, 10.0),
+                           evaluator=lambda w: np.asarray(_SIGNED(w)) - 1.5)
+
+
+@pytest.mark.parametrize("phi_spec", ["bspline:2", "bspline:3", "bspline:4", "bspline:5",
+                                      "gapped", "box", "fejer:pi:0"])
+def test_banded_eval_grid_equals_dense(phi_spec, b2, h2):
+    phi = (_b2_support_kernel(phi_spec, _CUSTOM_PHI[phi_spec]) if phi_spec in _CUSTOM_PHI
+           else parse_kernel_spec(phi_spec))
+    a, b = 0.25, 3.0
+    support = phi.log_support
+    banded = set()
+    for n in (1, 2, 17):
+        ev = DurrmeyerEvaluator(OperatorConfig(phi=phi, psi=b2, n=n, a=a, b=b))
+        # points a and b, a dense grid, and points whose x - shi is an integer
+        ws = [a, b, *np.exp(np.linspace(math.log(a), math.log(b), 1001))]
+        if support:
+            banded.add(math.ceil(support[1] - support[0]) + 1 < ev.ks.size)
+            shi = support[1]
+            for j in range(math.ceil(n * math.log(a) - shi), math.floor(n * math.log(b) - shi) + 1):
+                lo = hi = math.exp((j + shi) / n)
+                ws.append(lo)
+                for _ in range(2):
+                    lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+                    ws += [lo, hi]
+        ws = np.array([w for w in ws if a <= w <= b])
+        if support:
+            assert np.any(np.mod(n * np.log(ws) - support[1], 1.0) == 0.0)
+        for h in (h2, _SIGNED, _NEGATIVE):
+            for kind in ("max_product", "max_min"):
+                values, skipped = ev.eval_grid(kind, h, ws)
+                ref_values, ref_skipped = _dense_grid(ev, kind, h, ws)
+                assert np.array_equal(skipped, ref_skipped)
+                assert np.array_equal(values, ref_values, equal_nan=True), (kind, h.name, n)
+    # n = 1 reads all of J_n even with a band, n = 17 only the band
+    assert banded == (set() if support is None else {False, True})
+    for bad in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            ev.eval_grid("max_product", h2, np.array([1.0, bad]))
+
+
 # ---------------------------------------------------------------------------
 # operator algebra (quick versions; the 500-case runs live in the acceptance
 # suite)

@@ -10,6 +10,7 @@ from expsamp import (
     OperatorConfig,
     OrliczOverflowError,
     PhiSpecError,
+    QuadratureConvergenceError,
     QuadratureSpec,
     delta2_probe,
     jensen_max_checks,
@@ -190,6 +191,26 @@ def test_luxemburg_unbounded_bracket():
 
     with pytest.raises(UnboundedNormError):
         luxemburg_norm(parse_phi_spec("power:2"), _const(1e300), 1.0, math.e)
+
+
+def test_luxemburg_modular_far_above_one():
+    # the norm's modulars run at abs_tol 1e-12, below the rounding floor of
+    # the modular 9e4 at l = 1; such a trial is above one all the same
+    gauge, h = parse_phi_spec("power:2"), _const(300.0)
+    with pytest.raises(QuadratureConvergenceError):
+        modular(gauge, h, 1.0, math.e, spec=QuadratureSpec(abs_tol=1e-12))
+    tol = 1e-9
+    ell = luxemburg_norm(gauge, h, 1.0, math.e, tol=tol)
+    assert ell - tol < 300.0 <= ell
+
+
+def test_luxemburg_reraises_modular_not_clear_of_one(monkeypatch):
+    def unresolved(phi, h, a, b, lam, spec):
+        raise QuadratureConvergenceError("not met", estimate=1.2, error_bound=0.3)
+
+    monkeypatch.setattr(orlicz, "modular", unresolved)
+    with pytest.raises(QuadratureConvergenceError):
+        luxemburg_norm(parse_phi_spec("power:2"), _const(1.0), 1.0, math.e)
 
 
 def test_luxemburg_scaled_interval():

@@ -12,6 +12,7 @@ from expsamp import (
     durrmeyer_coefficient,
     integrate_log,
     mellin_integrate,
+    quadrature,
 )
 
 
@@ -73,6 +74,29 @@ def test_power_closed_form(loga, width, s):
     got = mellin_integrate(lambda v: v**s, a, b, QuadratureSpec(abs_tol=1e-11))
     want = (b**s - a**s) / s
     assert got == pytest.approx(want, rel=1e-9, abs=1e-10)
+
+
+def test_refinement_batches_splits():
+    # an oscillation that takes some 350 panels plus an undeclared jump:
+    # splitting one panel per integrand call took 84 calls, a round of
+    # splits per call takes 31 for the same 22,748 points
+    calls = []
+
+    def g(u):
+        calls.append(u.size)
+        return np.cos(1000.0 * u) + (u > 0.3)
+
+    res = integrate_log(g, 0.0, 1.0, QuadratureSpec(abs_tol=1e-10))
+    assert res.value == pytest.approx(math.sin(1000.0) / 1000.0 + 0.7, abs=1e-10)
+    assert len(calls) <= 40
+
+
+def test_panel_budget_exhausted(monkeypatch):
+    # forty undeclared jumps need far more than 64 live panels
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
+    with pytest.raises(QuadratureConvergenceError, match="within panel budget") as err:
+        integrate_log(lambda u: np.floor(40.0 * u) % 2.0, 0.0, 1.0, QuadratureSpec(abs_tol=1e-10))
+    assert err.value.estimate == pytest.approx(0.5, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
