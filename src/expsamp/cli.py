@@ -103,6 +103,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"interval too short for n={min(self.n_list)}: need b/a > e^(1/n)"
             )
+        if self.points is not None and not all(a < p < b for p in self.points):
+            raise ValueError(f"points must lie strictly inside ({a:g}, {b:g})")
+        if self.grid_density is not None and self.grid_density < 1:
+            raise ValueError("grid_density must be a positive integer")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
         if not self.quad_tol > 0:
@@ -241,8 +245,8 @@ def _load_function(spec: str, interval: tuple[float, float]):
     if data.shape[0] == 0 or data.shape[1] < 2:
         raise DataError(f"{spec} needs rows of two columns w,value")
     ws, vals = data[:, 0], data[:, 1]
-    if np.isnan(ws).any() or np.isnan(vals).any():
-        raise DataError(f"samples in {spec} contain NaN")
+    if not (np.isfinite(ws).all() and np.isfinite(vals).all()):
+        raise DataError(f"samples in {spec} contain NaN or infinite entries")
     if np.any(ws <= 0):
         raise DataError(f"sample abscissae in {spec} must be positive")
     order = np.argsort(ws)
@@ -297,7 +301,7 @@ def kernel() -> None:
 @kernel.command("info")
 @click.argument("spec")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON instead of text")
-@click.option("--grid-density", type=int, default=10_000, show_default=True)
+@click.option("--grid-density", type=click.IntRange(min=100), default=10_000, show_default=True)
 def kernel_info(spec: str, as_json: bool, grid_density: int) -> None:
     """Print kernel metrics: K, theta, moments, norm constant, support."""
     desc = _kernel(spec)
@@ -343,6 +347,11 @@ def op() -> None:
 def op_eval(config_path, order, points, as_json, **flags) -> None:
     """Evaluate one operator at the given points."""
     cfg = _assemble_config(config_path, n_list=[order], **flags)
+    a, b = cfg.interval
+    outside = [w for w in points if not a <= w <= b]
+    if outside:
+        raise click.BadParameter(f"{outside[0]:g} is outside the interval [{a:g}, {b:g}]",
+                                 param_hint="-w")
     h = _load_function(cfg.test_function, cfg.interval)
     ocfg = OperatorConfig(
         phi=_kernel(cfg.phi), psi=_kernel(cfg.psi), n=cfg.n_list[0],
@@ -413,7 +422,8 @@ def _run_sweep(cfg: ExperimentConfig) -> None:
     h = _load_function(cfg.test_function, cfg.interval)
     report = convergence_sweep(
         cfg.operator, cfg.phi, cfg.psi, h, cfg.n_list,
-        grid_density=cfg.grid_density or SWEEP_GRID_DENSITY, interval=cfg.interval,
+        grid_density=SWEEP_GRID_DENSITY if cfg.grid_density is None else cfg.grid_density,
+        interval=cfg.interval,
         quad=QuadratureSpec(abs_tol=cfg.quad_tol),
     )
     rows = [{"n": n, "sup_error": e, "skipped_points": s, "abs_errors": [float(x) for x in row]}

@@ -63,10 +63,14 @@ class FunctionDomainError(ValueError):
 class FunctionHandle:
     """A named real-valued signal on an interval of positive reals.
 
-    ``breakpoints`` lists interior discontinuities or branch knots; the
+    ``breakpoints`` lists interior discontinuities or branch knots.  The
     brute-force oracle splits its trapezoid grid there so jump errors do not
-    pollute the reference values.  ``declared_range`` is advisory metadata
-    checked by a probe grid in the test suite.
+    pollute the reference values; the batched coefficient rule cuts its
+    panels there, and the per-k coefficient integrals and the Orlicz
+    modulars are split there and read the signal strictly inside each
+    segment.  ``declared_range`` is the signal's range: the max-min operator
+    reads it, in place of a probe grid, to warn about signals leaving
+    [0, 1], and the test suite checks it by a probe grid.
     """
 
     name: str

@@ -27,10 +27,9 @@ analytic sinc-type kernels.  It is run on the lattice and on halved panels;
 when the two disagree by more than abs_tol/(2n) the fill falls back to the
 per-k adaptive :func:`~expsamp.quadrature.durrmeyer_coefficient`.
 
-On a grid of points, a phi of bounded log support [slo, shi] is nonzero on
-at most ceil(shi - slo) + 1 of the Phi_k(w), so
-:meth:`DurrmeyerEvaluator.eval_grid` reads phi on that band of k only and
-accounts for the zero terms outside it exactly.
+A phi of bounded log support [slo, shi] is nonzero on at most
+ceil(shi - slo) + 1 of the Phi_k(w), so point and grid evaluations read phi
+on that band of k only and account for the zero terms outside it exactly.
 """
 
 from __future__ import annotations
@@ -143,13 +142,6 @@ class OperatorEvaluation:
     skipped: bool = False
     skip_reason: str | None = None
     warning: str | None = None
-
-
-def _skipped(reason: str) -> OperatorEvaluation:
-    return OperatorEvaluation(
-        value=math.nan, numerator=math.nan, denominator=0.0,
-        active_index=None, skipped=True, skip_reason=reason,
-    )
 
 
 def _is_one(h) -> bool:
@@ -281,15 +273,10 @@ class DurrmeyerEvaluator:
             self._coeffs[key] = cached
         return cached
 
-    def phi_weights(self, w: float) -> np.ndarray:
-        cfg = self.cfg
-        return np.asarray(cfg.phi.eval_log(cfg.n * math.log(w) - self.ks))
-
     def _check_unit_range(self, h) -> str | None:
         """Flag handles leaving [0, 1]; the max-min guarantees assume that range."""
-        key = h
-        if key in self._range_flags:
-            return self._range_flags[key]
+        if h in self._range_flags:
+            return self._range_flags[h]
         declared = getattr(h, "declared_range", None)
         if declared is not None:
             lo, hi = declared
@@ -300,87 +287,112 @@ class DurrmeyerEvaluator:
         flag = None
         if lo < -1e-9 or hi > 1.0 + 1e-9:
             flag = f"outside guarantee range [0,1]: observed [{lo:.6g}, {hi:.6g}]"
-        self._range_flags[key] = flag
+        self._range_flags[h] = flag
         return flag
 
-    def max_product(self, h, w: float) -> OperatorEvaluation:
-        phiw = self.phi_weights(w)
-        den_terms = phiw * self.coefficients("one")
-        j = int(np.argmax(den_terms))
-        den = float(den_terms[j])
-        if den < _DENOMINATOR_FLOOR:
-            return _skipped("degenerate denominator")
-        num = float(np.max(phiw * self.coefficients(h)))
-        return OperatorEvaluation(
-            value=num / den, numerator=num, denominator=den,
-            active_index=int(self.ks[j]),
-        )
+    def _check_points(self, ws: np.ndarray) -> None:
+        # one-ulp grace: grids built as exp(linspace(log a, log b, .)) may
+        # land a rounding error outside the interval
+        cfg, grace = self.cfg, 1e-12
+        inside = (ws >= cfg.a * (1 - grace)) & (ws <= cfg.b * (1 + grace))
+        if not inside.all():
+            if not np.all(ws > 0):
+                raise ValueError("evaluation points must be positive numbers")
+            raise ValueError(f"evaluation point {ws[~inside][0]} outside [{cfg.a}, {cfg.b}]")
 
-    def max_min(self, h, w: float) -> OperatorEvaluation:
-        phiw = self.phi_weights(w)
-        den_terms = phiw * self.coefficients("one")
-        den = float(np.max(den_terms))
-        if den < _DENOMINATOR_FLOOR:
-            return _skipped("degenerate denominator")
-        terms = np.minimum(self.coefficients(h), phiw / den)
-        j = int(np.argmax(terms))
-        value = float(terms[j])
-        return OperatorEvaluation(
-            value=value, numerator=value * den, denominator=den,
-            active_index=int(self.ks[j]),
-            warning=self._check_unit_range(h),
-        )
+    def _assemble(self, kind: str, h, x: np.ndarray):
+        """The operator at the points x = n log w, read on phi's band of k.
 
-    def eval_grid(self, kind: str, h, ws) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized evaluation over a 1-D grid; returns (values, skipped_mask).
+        Returns (value, numerator, denominator, active), ``active`` indexing
+        ``ks``: the smallest k achieving the denominator maximum (max-product)
+        or the outer maximum (max-min).  A point whose denominator falls below
+        ``_DENOMINATOR_FLOOR`` gets NaN value and numerator and denominator 0.
 
-        When phi vanishes outside a bounded log support [slo, shi], a point
-        x = n log w reads only the band of m = ceil(shi - slo) + 1
-        consecutive indices from ceil(x - shi), shifted to lie inside J_n:
-        every k outside it has phi(x - k) = 0.  Those k still enter the
-        maxima over all of J_n, as 0 in the max-product numerator and as
+        For phi of bounded log support [slo, shi] a point reads only the band
+        of m = ceil(shi - slo) + 1 indices from ceil(x - shi), shifted into
+        J_n: every k outside it has phi(x - k) = 0.  Those k still enter the
+        maxima over J_n, as 0 in the max-product numerator and as
         min(C_k(h), 0) in max-min, so each band maximum gets one more
-        candidate: 0, and max_k min(C_k(h), 0), which no max-min term of the
-        band falls below because phi >= 0.  The denominator needs none: a
-        band maximum below 0 is skipped as a 0 would be.  The values equal
-        those over all of J_n, which is the band for phi without bounded
-        support or when m >= |J_n|.
-
-        The grid is processed in blocks of ``_GRID_BLOCK`` points, so the
-        temporaries stay a few MB however long the grid is; every point's
-        value is computed exactly as in a single pass.  A point that is not
-        a positive number raises ValueError.
+        candidate: 0, and max_k min(C_k(h), 0) at the first k achieving it.
+        No max-min term of the band falls below that candidate, as phi >= 0,
+        and one equal to it is min(C_k(h), 0) at a k achieving it, so the
+        candidate's k wins ties.  The denominator needs none: a band maximum
+        below 0 is skipped as a 0 would be, one above 0 is not reached
+        outside the band.  Phi without bounded support, or with m >= |J_n|,
+        reads all of J_n.
         """
-        if kind not in ("max_product", "max_min"):
-            raise ValueError(f"unknown operator kind {kind!r}")
-        ws = np.asarray(ws, dtype=float)
-        if not np.all(ws > 0):
-            raise ValueError("evaluation points must be positive numbers")
         c_one, c_h = self.coefficients("one"), self.coefficients(h)
         phi, size = self.cfg.phi, self.ks.size
         support = phi.log_support
         m = size if support is None else min(size, math.ceil(support[1] - support[0]) + 1)
         banded = m < size
-        cols = np.arange(m)[None, :]
+        first = (np.clip(np.ceil(x - support[1]) - self.ks[0], 0, size - m).astype(int)
+                 if banded else np.zeros(x.size, dtype=int))
+        cols = first[:, None] + np.arange(m)
+        rows = np.arange(x.size)
+        phim = np.asarray(phi.eval_log(x[:, None] - self.ks[cols]))
+        den_terms = phim * c_one[cols]
+        j = den_terms.argmax(axis=1)
+        den = den_terms[rows, j]
+        skipped = den < _DENOMINATOR_FLOOR
+        den[skipped] = 1.0
+        if kind == "max_product":
+            num = (phim * c_h[cols]).max(axis=1)
+            if banded:
+                num = np.maximum(num, 0.0)
+            value = num / den
+        else:
+            terms = np.minimum(c_h[cols], phim / den[:, None])
+            j = terms.argmax(axis=1)
+            value = terms[rows, j]
+            if banded:
+                outer = np.minimum(c_h, 0.0)
+                k0 = int(outer.argmax())
+                j = np.where(value <= outer[k0], k0 - first, j)
+                value = np.maximum(value, outer[k0])
+            num = value * den
+        value[skipped] = num[skipped] = np.nan
+        den[skipped] = 0.0
+        return value, num, den, first + j
+
+    def _point(self, kind: str, h, w: float) -> OperatorEvaluation:
+        self._check_points(np.array([w], dtype=float))
+        value, num, den, active = self._assemble(kind, h, np.array([self.cfg.n * math.log(w)]))
+        skipped = bool(den[0] == 0.0)
+        return OperatorEvaluation(
+            value=float(value[0]), numerator=float(num[0]), denominator=float(den[0]),
+            active_index=None if skipped else int(self.ks[active[0]]), skipped=skipped,
+            skip_reason="degenerate denominator" if skipped else None,
+            warning=self._check_unit_range(h) if kind == "max_min" and not skipped else None,
+        )
+
+    def max_product(self, h, w: float) -> OperatorEvaluation:
+        """The max-product operator for ``h`` at ``w`` in [a, b]."""
+        return self._point("max_product", h, w)
+
+    def max_min(self, h, w: float) -> OperatorEvaluation:
+        """The max-min operator for ``h`` at ``w`` in [a, b]; see :func:`max_min_eval`."""
+        return self._point("max_min", h, w)
+
+    def eval_grid(self, kind: str, h, ws) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized evaluation over a 1-D grid; returns (values, skipped_mask).
+
+        Each value is the one :meth:`max_product` or :meth:`max_min` gives,
+        from the same band (see :meth:`_assemble`), with x = n log w taken by
+        ``np.log``.  Blocks of ``_GRID_BLOCK`` points keep the temporaries a
+        few MB however long the grid is.  A point that is not positive, or
+        lies outside [a, b] by more than a rounding error, raises ValueError.
+        """
+        if kind not in ("max_product", "max_min"):
+            raise ValueError(f"unknown operator kind {kind!r}")
+        ws = np.asarray(ws, dtype=float)
+        self._check_points(ws)
         values = np.empty(ws.shape)
         skipped = np.empty(ws.shape, dtype=bool)
         for start in range(0, ws.size, _GRID_BLOCK):
             block = slice(start, start + _GRID_BLOCK)
-            x = self.cfg.n * np.log(ws[block])
-            if banded:
-                first = np.clip(np.ceil(x - support[1]) - self.ks[0], 0, size - m)
-                cols = first.astype(int)[:, None] + np.arange(m)
-            phim = np.asarray(phi.eval_log(x[:, None] - self.ks[cols]))
-            den = (phim * c_one[cols]).max(axis=1)
-            skipped[block] = den < _DENOMINATOR_FLOOR
-            den[skipped[block]] = 1.0
-            if kind == "max_product":
-                num = (phim * c_h[cols]).max(axis=1)
-                values[block] = (np.maximum(num, 0.0) if banded else num) / den
-            else:
-                terms = np.minimum(c_h[cols], phim / den[:, None]).max(axis=1)
-                values[block] = np.maximum(terms, min(c_h.max(), 0.0)) if banded else terms
-        values[skipped] = np.nan
+            values[block], _, den, _ = self._assemble(kind, h, self.cfg.n * np.log(ws[block]))
+            skipped[block] = den == 0.0
         return values, skipped
 
 
@@ -394,17 +406,8 @@ def get_evaluator(cfg: OperatorConfig) -> DurrmeyerEvaluator:
     return DurrmeyerEvaluator(cfg)
 
 
-def _check_point(cfg: OperatorConfig, w: float) -> None:
-    # one-ulp grace: grids built as exp(linspace(log a, log b, .)) may land
-    # a rounding error outside the interval
-    grace = 1e-12
-    if not (cfg.a * (1 - grace) <= w <= cfg.b * (1 + grace)):
-        raise ValueError(f"evaluation point {w} outside [{cfg.a}, {cfg.b}]")
-
-
 def max_product_eval(h, cfg: OperatorConfig, w: float) -> OperatorEvaluation:
     """Evaluate the max-product operator for ``h`` at ``w`` in [a, b]."""
-    _check_point(cfg, w)
     return get_evaluator(cfg).max_product(h, w)
 
 
@@ -414,7 +417,6 @@ def max_min_eval(h, cfg: OperatorConfig, w: float) -> OperatorEvaluation:
     The convergence guarantees assume h maps into [0, 1]; handles observed
     outside that range are evaluated anyway and flagged via ``warning``.
     """
-    _check_point(cfg, w)
     return get_evaluator(cfg).max_min(h, w)
 
 
@@ -493,11 +495,8 @@ def denominator_lower_bound_check(cfg: OperatorConfig, w_grid) -> PropertyReport
     bound = K * theta - 1e-8
 
     ev = get_evaluator(cfg)
-    w_list = [float(w) for w in w_grid]
-    report = PropertyReport(name="denominator-lower-bound", cases=len(w_list))
-    for w in w_list:
-        _check_point(cfg, w)
-        den = float(np.max(ev.phi_weights(w) * ev.coefficients("one")))
-        if den < bound:
-            report.violations.append((float(w), den, bound))
-    return report
+    ws = np.asarray(w_grid, dtype=float).ravel()
+    ev._check_points(ws)
+    den = ev._assemble("max_product", "one", cfg.n * np.log(ws))[2]
+    return PropertyReport(name="denominator-lower-bound", cases=ws.size, violations=[
+        (float(w), float(d), bound) for w, d in zip(ws, den) if d < bound])

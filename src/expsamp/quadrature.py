@@ -9,13 +9,14 @@ The engine is a globally adaptive bisection scheme.  Each panel carries a
 fixed-order Gauss-Legendre value, the value from halving the panel once, and
 an endpoint-including Clenshaw-Curtis companion of doubled order; the error
 estimate combines both differences so that features hiding in the edge
-shadow of the Gauss nodes are sensed.  Panels sit in a max-heap by estimate.
-Refinement runs in rounds, as in Shampine's vectorized adaptive quadrature
-(J. Comput. Appl. Math. 211, 2008): a round pops the worst panels until
-their estimates cover the excess of the summed estimate over the target,
-and splits them all in one integrand call.  Rounds repeat until the summed
-estimate meets the target; results are only accepted once every panel's
-estimate has survived one forced cross-check split.  Global (rather than
+shadow of the Gauss nodes are sensed.  The panels live in one list, a table
+with a row per panel.  Refinement runs in rounds, as in Shampine's
+vectorized adaptive quadrature (J. Comput. Appl. Math. 211, 2008): a round
+sorts the panels that may still be split by estimate and splits the worst
+ones, until their estimates cover the excess of the summed estimate over the
+target, in one integrand call.  Rounds repeat until the summed estimate
+meets the target; results are only accepted once every panel's estimate has
+survived one forced cross-check split.  Global (rather than
 width-proportional) error targeting is what lets integrands with jump
 discontinuities converge: the panel straddling a jump keeps shrinking until
 its O(width) error is negligible against the whole-interval budget.
@@ -23,7 +24,6 @@ its O(width) error is negligible against the whole-interval budget.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,6 +47,11 @@ _MAX_PANELS = 40_000
 # Distance (in log w) inside a pre-split segment at which an integrand reads
 # h, so that a node on a declared jump sees one branch only.
 _SEGMENT_NUDGE = 1e-12
+
+# Columns of integrate_log's panel list: the panel [a, b] at its bisection
+# depth, its refined value and error estimate, the half-panel values, and
+# whether a verification sweep produced it.
+_A, _B, _DEPTH, _FINE, _ERR, _LEFT, _RIGHT, _VERIFIED = range(8)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -129,7 +134,6 @@ def integrate_log(
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid integration bounds [{lo}, {hi}]")
-    nodes = spec.panel_nodes
     # |coarse - fine| can deceptively underestimate the fine value's error
     # (e.g. a jump placed where the two rules happen to agree).  Three
     # countermeasures: an initial depth-3 split, an internal safety factor
@@ -143,18 +147,20 @@ def integrate_log(
     target = spec.abs_tol / safety
     init_depth = 3
 
-    xg, wg = _leggauss(nodes)
-    xc, wc = _clenshaw_curtis(2 * nodes)
-    m = nodes
-    mc = xc.size
-    block = 2 * m + mc
+    m = spec.panel_nodes
+    xg, wg = _leggauss(m)
+    xc, wc = _clenshaw_curtis(2 * m)
 
-    counter = 0
+    def read(pts: np.ndarray) -> np.ndarray:
+        vals = np.asarray(g(pts.ravel()), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"integrand returned non-finite values on [{lo}, {hi}]")
+        return vals.reshape(pts.shape)
 
-    def make_entries(tasks, verified: bool):
-        """Build heap entries for (a, b, depth, coarse) tasks with one g call.
+    def panels(a, b, depth, coarse, verified: bool) -> np.ndarray:
+        """Rows of the panel list for the panels [a, b], from one g call.
 
-        Each entry carries the two half-panel Gauss values (the refined
+        Each row carries the two half-panel Gauss values (the refined
         estimate) plus an endpoint-including Clenshaw-Curtis companion of
         doubled order: Gauss nodes never reach a panel's edges and bisection
         keeps edge positions fixed across depths, so a feature hugging an
@@ -162,131 +168,81 @@ def integrate_log(
         nodes sense it, and its doubled order keeps its smooth-panel error at
         the Gauss pair's own scale so detection does not slow convergence.
         """
-        nonlocal counter
-        T = len(tasks)
-        a_arr = np.array([t[0] for t in tasks])
-        b_arr = np.array([t[1] for t in tasks])
-        coarse_arr = np.array([t[3] for t in tasks])
-        mid = 0.5 * (a_arr + b_arr)
-        pts = np.empty((T, block))
-        pts[:, :m] = 0.5 * (a_arr + mid)[:, None] + 0.5 * (mid - a_arr)[:, None] * xg
-        pts[:, m:2 * m] = 0.5 * (mid + b_arr)[:, None] + 0.5 * (b_arr - mid)[:, None] * xg
-        pts[:, 2 * m:] = 0.5 * (a_arr + b_arr)[:, None] + 0.5 * (b_arr - a_arr)[:, None] * xc
-        vals = np.asarray(g(pts.ravel()), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand returned non-finite values")
-        V = vals.reshape(T, block)
-        left = (V[:, :m] @ wg) * (0.5 * (mid - a_arr))
-        right = (V[:, m:2 * m] @ wg) * (0.5 * (b_arr - mid))
-        cc = (V[:, 2 * m:] @ wc) * (0.5 * (b_arr - a_arr))
+        mid = 0.5 * (a + b)
+        pts = np.empty((a.size, 2 * m + xc.size))
+        pts[:, :m] = 0.5 * (a + mid)[:, None] + 0.5 * (mid - a)[:, None] * xg
+        pts[:, m:2 * m] = 0.5 * (mid + b)[:, None] + 0.5 * (b - mid)[:, None] * xg
+        pts[:, 2 * m:] = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xc
+        V = read(pts)
+        left = (V[:, :m] @ wg) * (0.5 * (mid - a))
+        right = (V[:, m:2 * m] @ wg) * (0.5 * (b - mid))
+        cc = (V[:, 2 * m:] @ wc) * (0.5 * (b - a))
         fine = left + right
-        err = np.abs(fine - coarse_arr) + np.abs(cc - coarse_arr)
-        out = []
-        for i, (a, b, depth, _) in enumerate(tasks):
-            out.append((-float(err[i]), counter, a, b, depth, float(fine[i]),
-                        float(err[i]), float(left[i]), float(right[i]), verified))
-            counter += 1
-        return out
+        err = np.abs(fine - coarse) + np.abs(cc - coarse)
+        return np.column_stack([a, b, depth, fine, err, left, right,
+                                np.full(a.size, float(verified))])
 
-    def fail(total: float, bound: float, why: str):
+    def split(rows: np.ndarray, verified: bool) -> np.ndarray:
+        """The two halves of each row's panel, left then right, in row order."""
+        a, b = rows[:, _A], rows[:, _B]
+        mid = 0.5 * (a + b)
+        return panels(np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel(),
+                      np.repeat(rows[:, _DEPTH] + 1, 2),
+                      rows[:, [_LEFT, _RIGHT]].ravel(), verified)
+
+    def fail(why: str):
+        total, bound = float(P[:, _FINE].sum()), float(P[:, _ERR].sum())
         raise QuadratureConvergenceError(
             f"abs_tol={spec.abs_tol:g} not met {why} "
             f"(estimate {total:.17g}, bound {bound:.3g})",
             estimate=total, error_bound=bound,
         )
 
-    floored = []  # estimate at its own rounding floor; awaiting a sweep
-    capped = []   # at max_depth or cross-checked floor, never split again
+    # The panel list: one row per live panel, kept in creation order so that
+    # the stable sort below splits equal estimates oldest first.
     edges = np.linspace(lo, hi, 2**init_depth + 1)
+    a0, b0 = edges[:-1], edges[1:]
     # the coarse Gauss values of the initial panels, from one integrand call
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    pts = (0.5 * (edges[1:] + edges[:-1]))[:, None] + halves[:, None] * xg
-    vals = np.asarray(g(pts.ravel()), dtype=float).reshape(pts.shape)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"integrand returned non-finite values on [{lo}, {hi}]")
-    coarse0 = [float(half) * float(np.dot(wg, row)) for half, row in zip(halves, vals)]
-    heap = make_entries([
-        (a0, b0, init_depth, c0)
-        for (a0, b0, c0) in zip(edges[:-1], edges[1:], coarse0)
-    ], verified=False)
-    heapq.heapify(heap)
-
-    def totals():
-        value = sum(e[5] for e in heap + floored + capped)
-        bound = sum(e[6] for e in heap + floored + capped)
-        return value, bound
-
+    half = 0.5 * (b0 - a0)
+    rows = read(0.5 * (a0 + b0)[:, None] + half[:, None] * xg)
+    coarse = half * np.array([wg @ row for row in rows])
+    P = panels(a0, b0, np.full(a0.size, float(init_depth)), coarse, False)
     while True:
-        # refinement phase: each round pops the worst panels until their
-        # estimates cover the excess over the target, splits them all in one
-        # integrand call, and repeats until the summed estimate meets it
-        total, total_err = totals()
-        capped_err = sum(e[6] for e in capped)
-        while total_err > target:
-            if capped_err > target:
-                fail(total, total_err, f"at max_depth={spec.max_depth}")
-            if not heap:
-                if floored:
-                    break  # hand the floored panels to the verification sweep
-                fail(total, total_err,
-                     f"at max_depth={spec.max_depth} / estimator floor")
-            tasks, split, popped = [], [], 0.0
-            while heap and popped < total_err - target:
-                item = heapq.heappop(heap)
-                _, _, a, b, depth, fine, err, lc, rc, verified = item
-                popped += err
-                if depth >= spec.max_depth:
-                    capped.append(item)
-                    capped_err += err
-                    continue
-                # splitting a panel whose estimate sits at the rounding floor
-                # of its own magnitude is unproductive; park it for the next
-                # sweep (or retire it if a sweep has already cross-checked it)
-                if err <= 8 * 2.3e-16 * (abs(lc) + abs(rc)):
-                    if verified:
-                        capped.append(item)
-                        capped_err += err
-                    else:
-                        floored.append(item)
-                    continue
-                mid = 0.5 * (a + b)
-                tasks += [(a, mid, depth + 1, lc), (mid, b, depth + 1, rc)]
-                split.append(item)
-            if not tasks:
-                continue
-            if len(heap) + len(floored) + len(capped) + len(tasks) > _MAX_PANELS:
-                fail(total, total_err, "within panel budget")
-            entries = make_entries(tasks, verified=False)
-            total += sum(e[5] for e in entries) - sum(e[5] for e in split)
-            total_err += sum(e[6] for e in entries) - sum(e[6] for e in split)
-            for entry in entries:
-                heapq.heappush(heap, entry)
+        # refinement phase: each round sorts the splittable panels by
+        # estimate, splits the worst ones until their estimates cover the
+        # excess of the summed estimate over the target, all in one integrand
+        # call, and repeats until the sum meets the target.  A panel at
+        # max_depth is retired.  Splitting a panel whose estimate sits at the
+        # rounding floor of its own magnitude is unproductive: it is floored,
+        # to be force-split once by the next sweep, and retired once a sweep
+        # has cross-checked it.
+        while P[:, _ERR].sum() > target:
+            err, verified = P[:, _ERR], P[:, _VERIFIED] > 0
+            deep = P[:, _DEPTH] >= spec.max_depth
+            floor = err <= 8 * 2.3e-16 * (np.abs(P[:, _LEFT]) + np.abs(P[:, _RIGHT]))
+            if err[deep | (floor & verified)].sum() > target:
+                fail(f"at max_depth={spec.max_depth}")
+            splittable = np.flatnonzero(~deep & ~floor)
+            if not splittable.size:
+                break  # only floored panels can still move: sweep them
+            order = splittable[np.argsort(-err[splittable], kind="stable")]
+            excess = err.sum() - target
+            worst = order[:np.searchsorted(np.cumsum(err[order]), excess) + 1]
+            if len(P) + worst.size > _MAX_PANELS:
+                fail("within panel budget")
+            P = np.concatenate([np.delete(P, worst, axis=0), split(P[worst], False)])
 
         # verification phase: force-split every panel not yet cross-checked
-        # (parked floored ones included, so a deceptive near-zero estimate
-        # cannot dodge the check); already-verified panels are kept.  The
+        # (floored ones included, so a deceptive near-zero estimate cannot
+        # dodge the check); verified and max_depth panels are kept.  The
         # result is returned only from an all-verified state.
-        keep, tasks = [], []
-        for item in heap + floored:
-            _, _, a, b, depth, fine, err, lc, rc, verified = item
-            if verified:
-                keep.append(item)
-            elif depth >= spec.max_depth:
-                capped.append(item)
-            else:
-                mid = 0.5 * (a + b)
-                tasks.append((a, mid, depth + 1, lc))
-                tasks.append((mid, b, depth + 1, rc))
-        floored = []
-        if (len(keep) + len(tasks) + len(capped)) > _MAX_PANELS:
-            fail(*totals(), "within panel budget")
-        heap = keep + (make_entries(tasks, verified=True) if tasks else [])
-        heapq.heapify(heap)
-        value, bound = totals()
-        if bound <= target:
-            return IntegralResult(value=value, error_bound=target)
-        if not heap:
-            fail(value, bound, f"at max_depth={spec.max_depth}")
+        sweep = (P[:, _VERIFIED] == 0) & (P[:, _DEPTH] < spec.max_depth)
+        if len(P) + np.count_nonzero(sweep) > _MAX_PANELS:
+            fail("within panel budget")
+        if sweep.any():
+            P = np.concatenate([P[~sweep], split(P[sweep], True)])
+        if P[:, _ERR].sum() <= target:
+            return IntegralResult(value=float(P[:, _FINE].sum()), error_bound=target)
 
 
 def mellin_integrate(

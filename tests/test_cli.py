@@ -184,6 +184,28 @@ def test_table_empty_n_list_usage_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["op", "eval", "--operator", "max_product", "-n", "3", "-w", "5"], "outside the interval"),
+    (["op", "eval", "--operator", "max_min", "-n", "3", "-w", "0"], "outside the interval"),
+    (["op", "eval", "--operator", "max_product", "-n", "3", "-w", "1", "-w", "-1"],
+     "outside the interval"),
+    (["table", "--n-list", "3", "--points", "0.8,3", "--output", "{tmp}/t.csv"],
+     "strictly inside"),
+    (["sweep", "--n-list", "3", "--grid-density", "-5", "--output", "{tmp}/s.csv"],
+     "grid_density"),
+    (["sweep", "--n-list", "3", "--grid-density", "0", "--output", "{tmp}/s.csv"],
+     "grid_density"),
+    (["kernel", "info", "bspline:2", "--grid-density", "50"], "--grid-density"),
+], ids=["op-eval-above-b", "op-eval-zero", "op-eval-negative", "table-point-at-b",
+        "sweep-negative-density", "sweep-zero-density", "kernel-info-coarse-grid"])
+def test_bad_values_are_usage_errors(runner, tmp_path, args, message):
+    res = runner.invoke(main, [arg.format(tmp=tmp_path) for arg in args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # click's usage exit, no traceback
+    assert message in res.output
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_self_is_exact(runner, tmp_path):
     res, out = _make_table(runner, tmp_path)
     res = runner.invoke(main, ["verify", str(out), str(out), "--rel-tol", "0"])
@@ -339,7 +361,10 @@ def test_custom_function_from_samples(runner, tmp_path):
     (["0.5,0.5", "nan,0.5", "8.0,0.5"], "NaN"),
     (["0.5,0.5", "2.0,0.5", "2.0,0.6", "8.0,0.5"], "duplicate"),
     (["2.0,0.5", "4.0,0.5", "8.0,0.5"], "sample range"),
-], ids=["nan-value", "nan-abscissa", "duplicate-abscissa", "interval-outside-samples"])
+    (["0.5,0.5", "2.0,inf", "8.0,0.5"], "NaN"),
+    (["0.5,0.5", "2.0,0.5", "inf,0.5"], "NaN"),
+], ids=["nan-value", "nan-abscissa", "duplicate-abscissa", "interval-outside-samples",
+        "inf-value", "inf-abscissa"])
 def test_custom_function_rejects_bad_samples(runner, tmp_path, samples, message):
     path = tmp_path / "fn.csv"
     path.write_text("\n".join(["w,value"] + samples) + "\n")

@@ -153,19 +153,33 @@ def test_eval_grid_blocks_match_per_block_calls(b2, h2, monkeypatch):
         assert np.array_equal(skipped, np.concatenate([p[1] for p in parts]))
 
 
-def _dense_grid(ev, kind, h, ws):
-    """eval_grid's maxima taken over every k in J_n, the band's reference."""
-    phim = np.asarray(ev.cfg.phi.eval_log(ev.cfg.n * np.log(ws)[:, None] - ev.ks[None, :]))
+def _dense_grid(ev, kind, h, x):
+    """The operator's maxima over every k in J_n at x = n log w, the band's reference.
+
+    Returns values, numerators, denominators, the smallest maximising k and
+    the skip mask, as ``_assemble`` does but with NaN for the k of a skipped
+    point.
+    """
+    phim = np.asarray(ev.cfg.phi.eval_log(x[:, None] - ev.ks[None, :]))
     c_one, c_h = ev.coefficients("one"), ev.coefficients(h)
-    den = (phim * c_one[None, :]).max(axis=1)
+    rows = np.arange(x.size)
+    den_terms = phim * c_one[None, :]
+    j = den_terms.argmax(axis=1)
+    den = den_terms[rows, j]
     skipped = den < operators._DENOMINATOR_FLOOR
     den[skipped] = 1.0
     if kind == "max_product":
-        values = (phim * c_h[None, :]).max(axis=1) / den
+        num = (phim * c_h[None, :]).max(axis=1)
+        values = num / den
     else:
-        values = np.minimum(c_h[None, :], phim / den[:, None]).max(axis=1)
-    values[skipped] = np.nan
-    return values, skipped
+        terms = np.minimum(c_h[None, :], phim / den[:, None])
+        j = terms.argmax(axis=1)
+        values = terms[rows, j]
+        num = values * den
+    active = ev.ks[j]
+    values[skipped] = num[skipped] = active[skipped] = np.nan
+    den[skipped] = 0.0
+    return values, num, den, active, skipped
 
 
 def _b2_support_kernel(name, evaluate):
@@ -185,13 +199,25 @@ _CUSTOM_PHI = {
 }
 
 # a signal of both signs: where it is negative, all max-product band terms
-# of the box phi are negative and the k outside the band give 0; and a
+# of the box phi are negative and the k outside the band give 0; a
 # negative one, whose max-min value is max_k C_k(h), mostly from outside
-# the band
+# the band; and zero, where every max-min term ties at 0 and the first k of
+# J_n must win, inside the band or not
 _SIGNED = FunctionHandle(name="signed", domain=(0.01, 10.0),
                          evaluator=lambda w: np.sin(4.0 * np.log(np.asarray(w, dtype=float))))
 _NEGATIVE = FunctionHandle(name="negative", domain=(0.01, 10.0),
                            evaluator=lambda w: np.asarray(_SIGNED(w)) - 1.5)
+_ZERO = FunctionHandle(name="zero", domain=(0.01, 10.0),
+                       evaluator=lambda w: np.zeros(np.shape(w)))
+
+
+def _point_results(ev, kind, h, ws):
+    """``ev.max_product`` or ``ev.max_min`` at each point, as arrays."""
+    results = [getattr(ev, kind)(h, float(w)) for w in ws]
+    return (np.array([r.value for r in results]), np.array([r.numerator for r in results]),
+            np.array([r.denominator for r in results]),
+            np.array([np.nan if r.skipped else r.active_index for r in results]),
+            np.array([r.skipped for r in results]))
 
 
 @pytest.mark.parametrize("phi_spec", ["bspline:2", "bspline:3", "bspline:4", "bspline:5",
@@ -215,20 +241,41 @@ def test_banded_eval_grid_equals_dense(phi_spec, b2, h2):
                 for _ in range(2):
                     lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
                     ws += [lo, hi]
+        # one-point calls take x = n log w one point at a time; they read
+        # every 10th point of the grid and all the others
+        points = np.array([w for i, w in enumerate(ws)
+                           if a <= w <= b and (not 2 <= i < 1003 or i % 10 == 2)])
         ws = np.array([w for w in ws if a <= w <= b])
         if support:
             assert np.any(np.mod(n * np.log(ws) - support[1], 1.0) == 0.0)
-        for h in (h2, _SIGNED, _NEGATIVE):
+        x_points = np.array([n * math.log(w) for w in points])
+        for h in (h2, _SIGNED, _NEGATIVE, _ZERO):
             for kind in ("max_product", "max_min"):
                 values, skipped = ev.eval_grid(kind, h, ws)
-                ref_values, ref_skipped = _dense_grid(ev, kind, h, ws)
-                assert np.array_equal(skipped, ref_skipped)
-                assert np.array_equal(values, ref_values, equal_nan=True), (kind, h.name, n)
+                ref = _dense_grid(ev, kind, h, n * np.log(ws))
+                assert np.array_equal(skipped, ref[4])
+                assert np.array_equal(values, ref[0], equal_nan=True), (kind, h.name, n)
+                got, ref = _point_results(ev, kind, h, points), _dense_grid(ev, kind, h, x_points)
+                for field, a_got, a_ref in zip(("value", "numerator", "denominator",
+                                                "active_index", "skipped"), got, ref):
+                    assert np.array_equal(a_got, a_ref, equal_nan=True), (kind, h.name, n, field)
     # n = 1 reads all of J_n even with a band, n = 17 only the band
     assert banded == (set() if support is None else {False, True})
     for bad in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="positive"):
             ev.eval_grid("max_product", h2, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="positive"):
+            ev.max_min(h2, bad)
+    # outside [a, b] beyond the one-ulp grace both paths raise; inside it
+    # both evaluate
+    for bad in (a * (1 - 1e-9), b * (1 + 1e-9), 10.0):
+        with pytest.raises(ValueError, match="outside"):
+            ev.eval_grid("max_min", h2, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="outside"):
+            ev.max_product(h2, bad)
+    for edge in (a * (1 - 1e-13), b * (1 + 1e-13)):
+        skipped = ev.eval_grid("max_product", h2, np.array([edge]))[1]
+        assert ev.max_product(h2, edge).skipped == skipped[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +407,7 @@ def test_tie_break_smallest_index(b2):
     ev = get_evaluator(cfg)
     w = math.exp(0.5)  # n log w = 1.0, equidistant from k=0 and k=2 for phi
     res = ev.max_product(_const(1.0), w)
-    den_terms = ev.phi_weights(w) * ev.coefficients("one")
+    den_terms = ev.cfg.phi.eval_log(ev.cfg.n * math.log(w) - ev.ks) * ev.coefficients("one")
     ties = np.flatnonzero(den_terms == den_terms.max())
     assert res.active_index == int(ev.ks[ties[0]])
 
