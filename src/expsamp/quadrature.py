@@ -179,14 +179,14 @@ def integrate_log(
         cc = (V[:, 2 * m:] @ wc) * (0.5 * (b - a))
         fine = left + right
         err = np.abs(fine - coarse) + np.abs(cc - coarse)
-        return np.column_stack([a, b, depth, fine, err, left, right,
-                                np.full(a.size, float(verified))])
+        return np.array([a, b, depth, fine, err, left, right,
+                         np.full(a.size, float(verified))]).T
 
     def split(rows: np.ndarray, verified: bool) -> np.ndarray:
         """The two halves of each row's panel, left then right, in row order."""
         a, b = rows[:, _A], rows[:, _B]
         mid = 0.5 * (a + b)
-        return panels(np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel(),
+        return panels(np.array([a, mid]).T.ravel(), np.array([mid, b]).T.ravel(),
                       np.repeat(rows[:, _DEPTH] + 1, 2),
                       rows[:, [_LEFT, _RIGHT]].ravel(), verified)
 
