@@ -68,9 +68,10 @@ class FunctionHandle:
     pollute the reference values; the batched coefficient rule cuts its
     panels there, and the per-k coefficient integrals and the Orlicz
     modulars are split there and read the signal strictly inside each
-    segment.  ``declared_range`` is the signal's range: the max-min operator
-    reads it, in place of a probe grid, to warn about signals leaving
-    [0, 1], and the test suite checks it by a probe grid.
+    segment; each must be a positive finite number.  ``declared_range`` is
+    the signal's range: the max-min operator reads it, in place of a probe
+    grid, to warn about signals leaving [0, 1], and the test suite checks it
+    by a probe grid.
     """
 
     name: str
@@ -78,6 +79,12 @@ class FunctionHandle:
     evaluator: object
     declared_range: tuple[float, float] | None = None
     breakpoints: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        for bp in self.breakpoints:
+            if not (math.isfinite(bp) and bp > 0):
+                raise ValueError(
+                    f"signal {self.name}: breakpoints must be positive and finite, got {bp!r}")
 
     def __call__(self, w):
         return self.evaluator(w)

@@ -162,8 +162,9 @@ def modular(
 ) -> ModularReport:
     """``int_a^b zeta(lam |h(w)|) dw/w``.
 
-    The range is pre-split at ``h``'s declared breakpoints, which share the
-    budget ``spec.abs_tol``.  A non-finite value of ``h`` raises ValueError
+    The range is cut at ``h``'s declared breakpoints and integrated in one
+    panel list to the one budget ``spec.abs_tol``, with ``h`` read strictly
+    inside each segment.  A non-finite value of ``h`` raises ValueError
     naming the handle; a gauge value that overflows (to inf, or past the
     exponential gauge's guard) raises OrliczOverflowError naming ``lam``.
     """
@@ -223,7 +224,7 @@ def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -
         except QuadratureConvergenceError as exc:
             # the absolute budget can lie below the rounding floor of a
             # modular far above 1, where only the side of 1 matters; the
-            # failing segment's share alone then exceeds 1, as zeta >= 0
+            # exception carries the whole modular's estimate and bound
             if exc.estimate - exc.error_bound > 1.0:
                 return exc.estimate - 1.0
             raise

@@ -20,6 +20,15 @@ survived one forced cross-check split.  Global (rather than
 width-proportional) error targeting is what lets integrands with jump
 discontinuities converge: the panel straddling a jump keeps shrinking until
 its O(width) error is negligible against the whole-interval budget.
+
+Known jumps need not be localized at all.  ``integrate_log``'s ``cuts`` are
+interior points of the range that split it into segments.  Each segment
+starts with its own eight panels, and bisection keeps every panel inside
+its segment, but all panels share the one table, round loop, verification
+sweep and target.  Every node of a panel is read clamped
+``_SEGMENT_NUDGE`` (at most a quarter of the segment's width) inside its
+segment, so a Clenshaw-Curtis endpoint on a cut reads its own segment's
+side of the jump.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,16 +51,19 @@ __all__ = [
 
 # Hard cap on live panels, independent of max_depth.  A jump integrand costs
 # roughly max_depth panels per discontinuity, oscillatory ones a few hundred.
+# Each segment past the first between cuts raises the cap by the 16 panels
+# its start and first sweep need, so declared jumps alone never exhaust it.
 _MAX_PANELS = 40_000
 
-# Distance (in log w) inside a pre-split segment at which an integrand reads
-# h, so that a node on a declared jump sees one branch only.
+# Distance (in log w) inside a segment between cuts at which the integrand is
+# read, so that a node on a cut sees its own segment's side only.
 _SEGMENT_NUDGE = 1e-12
 
 # Columns of integrate_log's panel list: the panel [a, b] at its bisection
-# depth, its refined value and error estimate, the half-panel values, and
-# whether a verification sweep produced it.
-_A, _B, _DEPTH, _FINE, _ERR, _LEFT, _RIGHT, _VERIFIED = range(8)
+# depth, its refined value and error estimate, the half-panel values,
+# whether a verification sweep produced it, and the range [lo, hi] at which
+# its segment is read.
+_A, _B, _DEPTH, _FINE, _ERR, _LEFT, _RIGHT, _VERIFIED, _LO, _HI = range(10)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -126,14 +138,24 @@ def integrate_log(
     lo: float,
     hi: float,
     spec: QuadratureSpec = QuadratureSpec(),
+    *,
+    cuts: Sequence[float] = (),
 ) -> IntegralResult:
     """Adaptively integrate a vectorized ``g`` over ``[lo, hi]``.
 
-    Returns the integral estimate and an error bound with
-    ``error_bound <= spec.abs_tol`` on success.
+    ``cuts`` are strictly increasing points strictly inside ``(lo, hi)``,
+    typically known jumps of ``g``: no panel straddles one, and ``g`` is
+    read strictly inside each segment between them (see the module
+    docstring).  Returns the integral estimate and an error bound with
+    ``error_bound <= spec.abs_tol`` on success; the budget covers the whole
+    range, not each segment.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid integration bounds [{lo}, {hi}]")
+    bounds = np.array([lo, *cuts, hi], dtype=float)
+    if not (np.all(np.isfinite(bounds)) and np.all(np.diff(bounds) > 0)):
+        raise ValueError(
+            f"cuts must be finite, strictly increasing and inside ({lo}, {hi}), got {cuts!r}")
     # |coarse - fine| can deceptively underestimate the fine value's error
     # (e.g. a jump placed where the two rules happen to agree).  Three
     # countermeasures: an initial depth-3 split, an internal safety factor
@@ -151,13 +173,16 @@ def integrate_log(
     xg, wg = _leggauss(m)
     xc, wc = _clenshaw_curtis(2 * m)
 
-    def read(pts: np.ndarray) -> np.ndarray:
+    def read(pts: np.ndarray, ulo: np.ndarray, uhi: np.ndarray) -> np.ndarray:
+        """``g`` at the nodes ``pts``, a row per panel, each row clamped to
+        its segment's read range ``[ulo, uhi]``."""
+        np.clip(pts, ulo[:, None], uhi[:, None], out=pts)
         vals = np.asarray(g(pts.ravel()), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"integrand returned non-finite values on [{lo}, {hi}]")
         return vals.reshape(pts.shape)
 
-    def panels(a, b, depth, coarse, verified: bool) -> np.ndarray:
+    def panels(a, b, depth, coarse, verified: bool, ulo, uhi) -> np.ndarray:
         """Rows of the panel list for the panels [a, b], from one g call.
 
         Each row carries the two half-panel Gauss values (the refined
@@ -173,14 +198,14 @@ def integrate_log(
         pts[:, :m] = 0.5 * (a + mid)[:, None] + 0.5 * (mid - a)[:, None] * xg
         pts[:, m:2 * m] = 0.5 * (mid + b)[:, None] + 0.5 * (b - mid)[:, None] * xg
         pts[:, 2 * m:] = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xc
-        V = read(pts)
+        V = read(pts, ulo, uhi)
         left = (V[:, :m] @ wg) * (0.5 * (mid - a))
         right = (V[:, m:2 * m] @ wg) * (0.5 * (b - mid))
         cc = (V[:, 2 * m:] @ wc) * (0.5 * (b - a))
         fine = left + right
         err = np.abs(fine - coarse) + np.abs(cc - coarse)
         return np.array([a, b, depth, fine, err, left, right,
-                         np.full(a.size, float(verified))]).T
+                         np.full(a.size, float(verified)), ulo, uhi]).T
 
     def split(rows: np.ndarray, verified: bool) -> np.ndarray:
         """The two halves of each row's panel, left then right, in row order."""
@@ -188,7 +213,8 @@ def integrate_log(
         mid = 0.5 * (a + b)
         return panels(np.array([a, mid]).T.ravel(), np.array([mid, b]).T.ravel(),
                       np.repeat(rows[:, _DEPTH] + 1, 2),
-                      rows[:, [_LEFT, _RIGHT]].ravel(), verified)
+                      rows[:, [_LEFT, _RIGHT]].ravel(), verified,
+                      np.repeat(rows[:, _LO], 2), np.repeat(rows[:, _HI], 2))
 
     def fail(why: str):
         total, bound = float(P[:, _FINE].sum()), float(P[:, _ERR].sum())
@@ -199,14 +225,21 @@ def integrate_log(
         )
 
     # The panel list: one row per live panel, kept in creation order so that
-    # the stable sort below splits equal estimates oldest first.
-    edges = np.linspace(lo, hi, 2**init_depth + 1)
-    a0, b0 = edges[:-1], edges[1:]
+    # the stable sort below splits equal estimates oldest first.  Each
+    # segment starts with 2**init_depth panels; an uncut range is read
+    # unclamped (a nudge of -inf).
+    s0, s1 = bounds[:-1], bounds[1:]
+    per = 2**init_depth
+    edges = np.linspace(s0, s1, per + 1, axis=1)
+    a0, b0 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    nudge = np.minimum(_SEGMENT_NUDGE, 0.25 * (s1 - s0)) if len(cuts) else -np.inf
+    ulo, uhi = np.repeat(s0 + nudge, per), np.repeat(s1 - nudge, per)
+    max_panels = _MAX_PANELS + 2 * per * len(cuts)
     # the coarse Gauss values of the initial panels, from one integrand call
     half = 0.5 * (b0 - a0)
-    rows = read(0.5 * (a0 + b0)[:, None] + half[:, None] * xg)
+    rows = read(0.5 * (a0 + b0)[:, None] + half[:, None] * xg, ulo, uhi)
     coarse = half * np.array([wg @ row for row in rows])
-    P = panels(a0, b0, np.full(a0.size, float(init_depth)), coarse, False)
+    P = panels(a0, b0, np.full(a0.size, float(init_depth)), coarse, False, ulo, uhi)
     while True:
         # refinement phase: each round sorts the splittable panels by
         # estimate, splits the worst ones until their estimates cover the
@@ -228,7 +261,7 @@ def integrate_log(
             order = splittable[np.argsort(-err[splittable], kind="stable")]
             excess = err.sum() - target
             worst = order[:np.searchsorted(np.cumsum(err[order]), excess) + 1]
-            if len(P) + worst.size > _MAX_PANELS:
+            if len(P) + worst.size > max_panels:
                 fail("within panel budget")
             P = np.concatenate([np.delete(P, worst, axis=0), split(P[worst], False)])
 
@@ -237,7 +270,7 @@ def integrate_log(
         # dodge the check); verified and max_depth panels are kept.  The
         # result is returned only from an all-verified state.
         sweep = (P[:, _VERIFIED] == 0) & (P[:, _DEPTH] < spec.max_depth)
-        if len(P) + np.count_nonzero(sweep) > _MAX_PANELS:
+        if len(P) + np.count_nonzero(sweep) > max_panels:
             fail("within panel budget")
         if sweep.any():
             P = np.concatenate([P[~sweep], split(P[sweep], True)])
@@ -279,8 +312,8 @@ def durrmeyer_coefficient(
     When ``psi`` has bounded support the integration range is clipped, in log
     coordinates, to the preimage of the support; an empty preimage yields an
     exact 0.0 without running any quadrature.  If ``h`` declares breakpoints
-    (known discontinuities), the range is additionally pre-split there and
-    ``h`` (not ``psi``) is read strictly inside each segment; see
+    (known discontinuities), the range is additionally cut there and the
+    integrand is read strictly inside each segment; see
     ``_integrate_segments``.
 
     This is the per-k reference engine.  ``DurrmeyerEvaluator.coefficients``
@@ -314,31 +347,22 @@ def durrmeyer_coefficient(
 
 
 def _integrate_segments(f, h, lo: float, hi: float, spec: QuadratureSpec, divisor: int = 1) -> float:
-    """``int_lo^hi f(u, h(e^u)) du``, pre-split at ``h``'s declared breakpoints.
+    """``int_lo^hi f(u, h(e^u)) du``, cut at ``h``'s declared breakpoints.
 
-    The breakpoints whose logarithm lies strictly inside ``[lo, hi]`` cut the
-    range into ``nseg`` segments, each integrated by ``integrate_log`` to
-    ``spec.abs_tol / (divisor * nseg)``.  When the range is cut, ``h`` is read
-    at ``u`` clamped ``_SEGMENT_NUDGE`` (at most a quarter of the segment)
-    inside each segment, so the endpoint nodes of the Clenshaw-Curtis
-    companion read the segment's own branch and the engine is never charged
-    for localizing a known jump.  ``h=None`` stands for no signal: ``f``
-    receives None and the range is not cut.
+    The logarithms of the breakpoints strictly inside ``(lo, hi)`` become
+    the ``cuts`` of one ``integrate_log`` call to ``spec.abs_tol / divisor``:
+    the segments share one panel list and one budget, ``h`` is read strictly
+    inside each segment, and the engine is never charged for localizing a
+    known jump.  ``h=None`` stands for no signal: ``f`` receives None and the
+    range is not cut.
     """
-    cuts = sorted({lo, hi, *(
+    cuts = sorted({
         math.log(bp) for bp in getattr(h, "breakpoints", ()) or ()
         if lo < math.log(bp) < hi
-    )})
-    nseg = len(cuts) - 1
-    inner = QuadratureSpec(spec.abs_tol / (divisor * nseg), spec.max_depth, spec.panel_nodes)
-    acc = 0.0
-    for s0, s1 in zip(cuts, cuts[1:]):
-        nudge = min(_SEGMENT_NUDGE, 0.25 * (s1 - s0))
-        ulo, uhi = (s0 + nudge, s1 - nudge) if nseg > 1 else (-math.inf, math.inf)
+    })
 
-        def g(u: np.ndarray, ulo=ulo, uhi=uhi) -> np.ndarray:
-            hu = None if h is None else np.asarray(h(np.exp(np.clip(u, ulo, uhi))), dtype=float)
-            return f(u, hu)
+    def g(u: np.ndarray) -> np.ndarray:
+        return f(u, None if h is None else np.asarray(h(np.exp(u)), dtype=float))
 
-        acc += integrate_log(g, s0, s1, inner).value
-    return acc
+    inner = QuadratureSpec(spec.abs_tol / divisor, spec.max_depth, spec.panel_nodes)
+    return integrate_log(g, lo, hi, inner, cuts=cuts).value

@@ -92,6 +92,15 @@ def test_declared_range_probe(which):
     assert np.all(np.isfinite(vals))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf])
+def test_bad_breakpoints_rejected(bad):
+    # a non-positive breakpoint has no logarithm and a NaN one would be
+    # dropped silently by every range check, so both fail at construction
+    with pytest.raises(ValueError, match="signal stairs: breakpoints"):
+        FunctionHandle(name="stairs", domain=(0.5, 3.0), evaluator=np.sign,
+                       breakpoints=(1.0, bad))
+
+
 def test_unknown_test_function():
     with pytest.raises(ValueError):
         get_test_function("h3")

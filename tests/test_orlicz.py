@@ -133,26 +133,23 @@ def test_split_modular_matches_closed_form(spec_text, edges, values, breakpoints
     gauge = parse_phi_spec(spec_text)
     a, b = 1.0, 3.0
     h = step_handle(edges, values, breakpoints)
-    # the engine runs once per segment between distinct interior breakpoints,
-    # and the segments share the default budget equally
-    ranges, budgets = [], []
+    # the engine runs once over the whole range, cut at the distinct interior
+    # breakpoints, with the whole default budget
+    calls = []
     engine = quadrature.integrate_log
 
-    def recorded(g, lo, hi, spec):
-        ranges.append((lo, hi))
-        budgets.append(spec.abs_tol)
-        return engine(g, lo, hi, spec)
+    def recorded(g, lo, hi, spec, *, cuts=()):
+        calls.append((lo, hi, tuple(cuts), spec.abs_tol))
+        return engine(g, lo, hi, spec, cuts=cuts)
 
     monkeypatch.setattr(quadrature, "integrate_log", recorded)
     for lam in (0.5, 1.0, 2.0):
-        ranges.clear()
-        budgets.clear()
+        calls.clear()
         got = modular(gauge, h, a, b, lam=lam).modular_value
         assert got == pytest.approx(_closed_form_modular(gauge, edges, values, a, b, lam),
                                     rel=0, abs=1e-12)
-        cuts = sorted({math.log(t) for t in edges[1:-1] if a < t < b})
-        assert ranges == list(zip([math.log(a), *cuts], [*cuts, math.log(b)]))
-        assert budgets == [QuadratureSpec().abs_tol / len(ranges)] * len(ranges)
+        cuts = tuple(sorted({math.log(t) for t in edges[1:-1] if a < t < b}))
+        assert calls == [(math.log(a), math.log(b), cuts, QuadratureSpec().abs_tol)]
 
 
 def test_split_modular_agrees_with_undeclared_jumps():

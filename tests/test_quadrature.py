@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from expsamp import (
     durrmeyer_coefficient,
     integrate_log,
     mellin_integrate,
+    modular,
+    parse_phi_spec,
     quadrature,
 )
+from helpers import step_handle
 
 
 def test_spec_validation():
@@ -91,6 +95,38 @@ def test_refinement_batches_splits():
     assert len(calls) <= 40
 
 
+@pytest.mark.parametrize("jumps", [40, 3000])
+def test_cuts_remove_jump_localization(jumps):
+    # every jump declared: each segment's panels converge at once, in the
+    # fixed three integrand calls, to the exact value; 3000 segments need
+    # more start-up panels than _MAX_PANELS alone allows
+    calls = []
+
+    def g(u):
+        calls.append(u.size)
+        return np.floor(jumps * u) % 2.0
+
+    cuts = [i / jumps for i in range(1, jumps)]
+    res = integrate_log(g, 0.0, 1.0, QuadratureSpec(abs_tol=1e-10), cuts=cuts)
+    assert res.value == pytest.approx(0.5, abs=1e-12)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("cuts", [
+    pytest.param((0.3, math.nan), id="nan"),
+    pytest.param((0.3, math.inf), id="inf"),
+    pytest.param((0.6, 0.3), id="decreasing"),
+    pytest.param((0.3, 0.3), id="repeated"),
+    pytest.param((0.0, 0.5), id="at-lo"),
+    pytest.param((0.5, 1.0), id="at-hi"),
+    pytest.param((-0.2,), id="below"),
+    pytest.param((1.5,), id="above"),
+])
+def test_bad_cuts_rejected(cuts):
+    with pytest.raises(ValueError, match="cuts"):
+        integrate_log(lambda u: u, 0.0, 1.0, cuts=cuts)
+
+
 def test_panel_budget_exhausted(monkeypatch):
     # forty undeclared jumps need far more than 64 live panels
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
@@ -148,6 +184,54 @@ def test_coefficient_reads_h_off_its_breakpoints(jackson, h2):
     u = np.concatenate(seen)
     gaps = np.abs(u[:, None] - np.log(h2.breakpoints)[None, :])
     assert gaps.min() > 1e-14
+
+
+def _recording(handle):
+    """``handle`` with every array its evaluator receives kept in a list."""
+    reads = []
+
+    def evaluate(w):
+        reads.append(np.array(w, dtype=float))
+        return handle.evaluator(w)
+
+    return replace(handle, evaluator=evaluate), reads
+
+
+def _check_segment_reads(reads, breakpoints, nodes):
+    """No read on a breakpoint, and every panel's reads in one segment.
+
+    ``integrate_log`` reads its first call as one row of ``nodes`` Gauss
+    nodes per panel and every later call as one row of ``4 nodes + 1``
+    (two half-panel Gauss rules and the Clenshaw-Curtis companion); a row's
+    Gauss nodes lie inside its panel, so its panel's segment is the one
+    every read of the row must fall in.
+    """
+    bps = np.sort(np.asarray(breakpoints))
+    for i, w in enumerate(reads):
+        assert not np.isin(w, bps).any()
+        rows = w.reshape(-1, nodes if i == 0 else 4 * nodes + 1)
+        segment = np.searchsorted(bps, rows)
+        assert (segment == segment[:, :1]).all()
+
+
+def test_segment_reads_and_batching():
+    spec = QuadratureSpec()
+    edges = [1.0, math.exp(0.2), math.exp(0.5), math.exp(0.8), math.exp(1.5)]
+    h, reads = _recording(step_handle(edges, [0.3, 1.7, 0.9, 1.2], edges[1:-1]))
+
+    value = modular(parse_phi_spec("power:2"), h, 1.0, math.exp(1.5), spec=spec).modular_value
+    assert value == pytest.approx(0.3**2 * 0.2 + 1.7**2 * 0.3 + 0.9**2 * 0.3 + 1.2**2 * 0.7,
+                                  rel=0, abs=1e-12)
+    # three cuts, one panel list: the initial coarse rule, the initial
+    # panels and one verification sweep
+    assert len(reads) == 3
+    _check_segment_reads(reads, h.breakpoints, spec.panel_nodes)
+
+    # B2 at n = 1, k = 0 covers [0, 1] in u = log w, across all three cuts
+    reads.clear()
+    durrmeyer_coefficient(bspline_kernel(2), 0, 1, 1.0, math.exp(1.5), h, spec)
+    assert reads
+    _check_segment_reads(reads, h.breakpoints, spec.panel_nodes)
 
 
 def _random_piecewise_poly(rng, a, b):
