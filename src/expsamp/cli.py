@@ -432,7 +432,7 @@ def _run_sweep(cfg: ExperimentConfig) -> None:
     out = Path(cfg.output)
     _write_output(out, cfg.format, cfg.to_dict(), rows,
                   lambda path: write_sweep_csv(report, path),
-                  grid=[float(w) for w in report.grid])
+                  grid=[float(w) for w in report.grid], warnings=report.warnings)
     click.echo(f"wrote {out} ({len(rows)} rows)")
 
 

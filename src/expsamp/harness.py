@@ -214,7 +214,11 @@ def build_error_table(
     quad: QuadratureSpec = QuadratureSpec(abs_tol=1e-9),
     which="h1",
 ) -> ErrorTable:
-    """Absolute errors ``|D_n(h)(w) - h(w)|`` over n_values x points."""
+    """Absolute errors ``|D_n(h)(w) - h(w)|`` over n_values x points.
+
+    One ``eval_grid`` call per n, as in :func:`convergence_sweep`; skipped
+    cells hold NaN, and a max-min table keeps ``h``'s ``range_warning``.
+    """
     if operator_kind not in ("max_product", "max_min"):
         raise ValueError(f"unknown operator kind {operator_kind!r}")
     n_values = [int(n) for n in n_values]
@@ -227,25 +231,23 @@ def build_error_table(
     phi = _resolve_kernel(phi_spec)
     psi = _resolve_kernel(psi_spec)
     h = get_test_function(which)
+    ws = np.array(points)
+    href = np.asarray(h(ws), dtype=float)
 
-    entries = np.full((len(n_values), len(points)), np.nan)
+    entries = np.empty((len(n_values), len(points)))
     skipped: list[tuple[int, float]] = []
-    warnings: list[str] = []
     for i, n in enumerate(n_values):
-        cfg = OperatorConfig(phi=phi, psi=psi, n=n, a=a, b=b, quad=quad)
-        ev = get_evaluator(cfg)
-        for j, p in enumerate(points):
-            res = ev.max_product(h, p) if operator_kind == "max_product" else ev.max_min(h, p)
-            if res.warning is not None and res.warning not in warnings:
-                warnings.append(res.warning)
-            if res.skipped:
-                skipped.append((n, p))
-            else:
-                entries[i, j] = abs(res.value - float(h(p)))
+        ev = get_evaluator(OperatorConfig(phi=phi, psi=psi, n=n, a=a, b=b, quad=quad))
+        vals, skip = ev.eval_grid(operator_kind, h, ws)
+        entries[i] = np.abs(vals - href)
+        skipped += [(n, p) for p, s in zip(points, skip) if s]
+    warn = operator_kind == "max_min" and len(skipped) < entries.size
+    warning = ev.range_warning(h) if warn else None
     return ErrorTable(
         operator_kind=operator_kind, kernel_pair=(phi.name, psi.name),
         which=getattr(h, "name", "custom"), n_values=n_values, points=points,
-        entries=entries, skipped=skipped, interval=interval, warnings=warnings,
+        entries=entries, skipped=skipped, interval=interval,
+        warnings=[] if warning is None else [warning],
     )
 
 
@@ -260,6 +262,7 @@ class SweepReport:
     per_point: np.ndarray  # shape (len(n_values), len(grid))
     skipped_counts: list[int]
     interval: tuple[float, float]
+    warnings: list[str] = field(default_factory=list)  # distinct operator warnings
 
 
 def convergence_sweep(
@@ -275,7 +278,8 @@ def convergence_sweep(
     """Sup-error of D_n over a log-spaced interior grid, for each n.
 
     The grid covers [max(a, 0.3), min(b, 2.9)] to keep clear of edge-skip
-    noise; skipped points are excluded from the supremum and counted.
+    noise; skipped points are excluded from the supremum and counted.  A
+    max-min sweep keeps ``h``'s ``range_warning``, as a table does.
     """
     n_values = [int(n) for n in n_values]
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
@@ -291,18 +295,20 @@ def convergence_sweep(
     sup_errors, skipped_counts = [], []
     per_point = np.full((len(n_values), grid_density), np.nan)
     for i, n in enumerate(n_values):
-        cfg = OperatorConfig(phi=phi, psi=psi, n=n, a=a, b=b, quad=quad)
-        vals, skipped = get_evaluator(cfg).eval_grid(operator_kind, h, grid)
+        ev = get_evaluator(OperatorConfig(phi=phi, psi=psi, n=n, a=a, b=b, quad=quad))
+        vals, skipped = ev.eval_grid(operator_kind, h, grid)
         err = np.abs(vals - href)
         per_point[i] = err
         good = ~skipped
         sup_errors.append(float(np.nanmax(err[good])) if good.any() else math.nan)
         skipped_counts.append(int(skipped.sum()))
+    warn = operator_kind == "max_min" and sum(skipped_counts) < per_point.size
+    warning = ev.range_warning(h) if warn else None
     return SweepReport(
         operator_kind=operator_kind, kernel_pair=(phi.name, psi.name),
         which=getattr(h, "name", "custom"), n_values=n_values, grid=grid,
         sup_errors=sup_errors, per_point=per_point, skipped_counts=skipped_counts,
-        interval=interval,
+        interval=interval, warnings=[] if warning is None else [warning],
     )
 
 

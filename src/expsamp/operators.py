@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import KernelDescriptor, compute_metrics
-from .quadrature import QuadratureSpec, _leggauss, durrmeyer_coefficient
+from .quadrature import _PANEL_NODES, QuadratureSpec, _leggauss, durrmeyer_coefficient
 
 __all__ = [
     "OperatorConfig",
@@ -168,7 +168,7 @@ def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, h, q: int) -> np.ndarray:
     once, at Gauss nodes only, so never on a panel edge.
     """
     n, psi = cfg.n, cfg.psi
-    x, wg = _leggauss(cfg.quad.panel_nodes)
+    x, wg = _leggauss(_PANEL_NODES)
     t, wt = 0.5 * (1.0 + x), 0.5 * wg
     step = 1.0 / (q * n)
     # interval ends, breakpoints and panel edges in lattice units s = u / step
@@ -273,8 +273,9 @@ class DurrmeyerEvaluator:
             self._coeffs[key] = cached
         return cached
 
-    def _check_unit_range(self, h) -> str | None:
-        """Flag handles leaving [0, 1]; the max-min guarantees assume that range."""
+    def range_warning(self, h) -> str | None:
+        """The max-min warning for ``h`` leaving [0, 1], or None; memoized, from
+        ``h.declared_range`` or else a 257-point probe of [a, b]."""
         if h in self._range_flags:
             return self._range_flags[h]
         declared = getattr(h, "declared_range", None)
@@ -363,7 +364,7 @@ class DurrmeyerEvaluator:
             value=float(value[0]), numerator=float(num[0]), denominator=float(den[0]),
             active_index=None if skipped else int(self.ks[active[0]]), skipped=skipped,
             skip_reason="degenerate denominator" if skipped else None,
-            warning=self._check_unit_range(h) if kind == "max_min" and not skipped else None,
+            warning=self.range_warning(h) if kind == "max_min" and not skipped else None,
         )
 
     def max_product(self, h, w: float) -> OperatorEvaluation:

@@ -49,8 +49,12 @@ __all__ = [
     "durrmeyer_coefficient",
 ]
 
-# Hard cap on live panels, independent of max_depth.  A jump integrand costs
-# roughly max_depth panels per discontinuity, oscillatory ones a few hundred.
+# Bisection depth limit per panel, and Gauss-Legendre nodes per panel.
+_MAX_DEPTH = 48
+_PANEL_NODES = 16
+
+# Hard cap on live panels, independent of _MAX_DEPTH.  A jump integrand costs
+# roughly _MAX_DEPTH panels per discontinuity, oscillatory ones a few hundred.
 # Each segment past the first between cuts raises the cap by the 16 panels
 # its start and first sweep need, so declared jumps alone never exhaust it.
 _MAX_PANELS = 40_000
@@ -81,24 +85,14 @@ class QuadratureConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy budget for the adaptive engine.
-
-    abs_tol      target absolute error for the whole integral
-    max_depth    bisection depth limit per panel
-    panel_nodes  Gauss-Legendre nodes per panel
-    """
+    """Accuracy budget for the adaptive engine: ``abs_tol``, the target
+    absolute error for the whole integral."""
 
     abs_tol: float = 1e-10
-    max_depth: int = 48
-    panel_nodes: int = 16
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise ValueError("abs_tol must be a positive finite number")
-        if self.max_depth < 4:
-            raise ValueError("max_depth must be at least 4")
-        if self.panel_nodes < 8:
-            raise ValueError("panel_nodes must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ def integrate_log(
     target = spec.abs_tol / safety
     init_depth = 3
 
-    m = spec.panel_nodes
+    m = _PANEL_NODES
     xg, wg = _leggauss(m)
     xc, wc = _clenshaw_curtis(2 * m)
 
@@ -245,16 +239,16 @@ def integrate_log(
         # estimate, splits the worst ones until their estimates cover the
         # excess of the summed estimate over the target, all in one integrand
         # call, and repeats until the sum meets the target.  A panel at
-        # max_depth is retired.  Splitting a panel whose estimate sits at the
+        # _MAX_DEPTH is retired.  Splitting a panel whose estimate sits at the
         # rounding floor of its own magnitude is unproductive: it is floored,
         # to be force-split once by the next sweep, and retired once a sweep
         # has cross-checked it.
         while P[:, _ERR].sum() > target:
             err, verified = P[:, _ERR], P[:, _VERIFIED] > 0
-            deep = P[:, _DEPTH] >= spec.max_depth
+            deep = P[:, _DEPTH] >= _MAX_DEPTH
             floor = err <= 8 * 2.3e-16 * (np.abs(P[:, _LEFT]) + np.abs(P[:, _RIGHT]))
             if err[deep | (floor & verified)].sum() > target:
-                fail(f"at max_depth={spec.max_depth}")
+                fail(f"at max_depth={_MAX_DEPTH}")
             splittable = np.flatnonzero(~deep & ~floor)
             if not splittable.size:
                 break  # only floored panels can still move: sweep them
@@ -267,9 +261,9 @@ def integrate_log(
 
         # verification phase: force-split every panel not yet cross-checked
         # (floored ones included, so a deceptive near-zero estimate cannot
-        # dodge the check); verified and max_depth panels are kept.  The
+        # dodge the check); verified and _MAX_DEPTH panels are kept.  The
         # result is returned only from an all-verified state.
-        sweep = (P[:, _VERIFIED] == 0) & (P[:, _DEPTH] < spec.max_depth)
+        sweep = (P[:, _VERIFIED] == 0) & (P[:, _DEPTH] < _MAX_DEPTH)
         if len(P) + np.count_nonzero(sweep) > max_panels:
             fail("within panel budget")
         if sweep.any():
@@ -364,5 +358,4 @@ def _integrate_segments(f, h, lo: float, hi: float, spec: QuadratureSpec, diviso
     def g(u: np.ndarray) -> np.ndarray:
         return f(u, None if h is None else np.asarray(h(np.exp(u)), dtype=float))
 
-    inner = QuadratureSpec(spec.abs_tol / divisor, spec.max_depth, spec.panel_nodes)
-    return integrate_log(g, lo, hi, inner, cuts=cuts).value
+    return integrate_log(g, lo, hi, QuadratureSpec(spec.abs_tol / divisor), cuts=cuts).value

@@ -162,6 +162,25 @@ def test_table_mirror_keeps_max_min_range_warning(runner, tmp_path):
     assert "outside guarantee range" in maxmin["warnings"][0]
 
 
+def test_sweep_mirror_keeps_max_min_range_warning(runner, tmp_path):
+    samples = tmp_path / "fn.csv"
+    samples.write_text("w,value\n" + "".join(f"{w},1.5\n" for w in (0.5, 1.0, 2.0, 4.0, 8.0)))
+    mirrors = {}
+    for oper in ("max_product", "max_min"):
+        out = tmp_path / f"{oper}.csv"
+        res = runner.invoke(main, [
+            "sweep", "--operator", oper, "--phi", "bspline:2", "--psi", "bspline:2",
+            "--n-list", "3,4", "--grid-density", "20", "--interval", "1:7.389",
+            "--function", str(samples), "--quad-tol", "1e-8", "--output", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        mirrors[oper] = json.loads((tmp_path / f"{oper}.csv.json").read_text())
+    assert mirrors["max_product"]["warnings"] == []
+    # one message for both orders
+    assert len(mirrors["max_min"]["warnings"]) == 1
+    assert "outside guarantee range" in mirrors["max_min"]["warnings"][0]
+
+
 def test_table_h2_default_interval(runner, tmp_path):
     out = tmp_path / "h2.csv"
     res = runner.invoke(main, [
@@ -304,15 +323,16 @@ def test_modular_requires_phi_function(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_modular_overflow_names_lambda(runner, tmp_path):
+@pytest.mark.parametrize("gauge,lam", [("exppower:1", "5000"), ("power:2", "1e200")])
+def test_modular_overflow_names_lambda(runner, tmp_path, gauge, lam):
     res = runner.invoke(main, [
-        "modular", "--phi-function", "exppower:1", "--lambda", "5000",
+        "modular", "--phi-function", gauge, "--lambda", lam,
         "--operator", "max_product", "--phi", "bspline:2", "--psi", "bspline:2",
         "--n-list", "2,3", "--interval", "1:7.389", "--function", "h1",
         "--output", str(tmp_path / "m.csv"),
     ])
     assert res.exit_code == 1
-    assert "lambda=5000" in res.output
+    assert f"lambda={float(lam):g}" in res.output
 
 
 def test_props(runner):

@@ -17,6 +17,7 @@ from expsamp import (
     flagged_cells,
     flagged_steps,
     get_test_function,
+    max_min_eval,
     max_product_eval,
     parse_kernel_spec,
     read_table_csv,
@@ -158,6 +159,33 @@ def test_table_rows_and_csv_roundtrip(tmp_path, b2):
     assert text[0] == "n,point,abs_error,skipped"
     back = read_table_csv(path)
     assert [(r.n, r.point) for r in back] == [(r.n, r.point) for r in rows]
+
+
+def test_table_cells_equal_one_point_errors():
+    # one eval_grid call per n gives, cell for cell, the one-point error
+    phi, psi = parse_kernel_spec("bspline:2"), parse_kernel_spec("jackson:1.05:1")
+    interval, quad = (0.1, 3.0), QuadratureSpec(abs_tol=1e-9)
+    n_values, points = [17, 26, 35, 53], [0.8, 1.5, 2.0, 2.5]
+    h1 = get_test_function("h1")
+    # no declared range, values in [0, 1.5]: the max-min range warning fires
+    loud = FunctionHandle(name="1.5 h1", domain=h1.domain,
+                          evaluator=lambda w: 1.5 * np.asarray(h1(w), dtype=float))
+    for h in (h1, get_test_function("h2"), loud):
+        for kind, evaluate in (("max_product", max_product_eval), ("max_min", max_min_eval)):
+            tab = build_error_table(kind, phi, psi, n_values, points, interval=interval,
+                                    quad=quad, which=h)
+            warnings = set()
+            for i, n in enumerate(n_values):
+                cfg = OperatorConfig(phi=phi, psi=psi, n=n, a=interval[0], b=interval[1],
+                                     quad=quad)
+                for j, w in enumerate(points):
+                    res = evaluate(h, cfg, w)
+                    assert not res.skipped
+                    assert tab.entries[i, j] == abs(res.value - float(h(w))), (kind, n, w)
+                    warnings.add(res.warning)
+            assert tab.skipped == []
+            assert tab.warnings == sorted(warnings - {None})
+            assert bool(tab.warnings) == (kind == "max_min" and h is loud)
 
 
 def test_read_table_schema_errors(tmp_path):

@@ -13,6 +13,7 @@ from expsamp import (
     QuadratureConvergenceError,
     QuadratureSpec,
     delta2_probe,
+    get_test_function,
     jensen_max_checks,
     luxemburg_norm,
     modular,
@@ -410,6 +411,36 @@ def test_modular_series_h2_non_increasing(b2, jackson, h2):
     series = modular_convergence_series(parse_phi_spec("power:2"), "max_product",
                                         h2, cfg, [17, 35])
     assert series[1].modular_value <= series[0].modular_value
+
+
+@pytest.mark.parametrize("which,cuts", [
+    ("h1", ()),
+    ("h2", tuple(math.log(t) for t in (0.6, 1.2, 1.8, 2.4))),
+])
+def test_modular_series_is_one_modular_per_n(b2, jackson, which, cuts, monkeypatch):
+    # each value is one modular of the error signal, cut at h's breakpoints
+    calls = []
+    engine = quadrature.integrate_log
+
+    def recorded(g, lo, hi, spec, *, cuts=()):
+        calls.append((lo, hi, tuple(cuts), spec.abs_tol))
+        return engine(g, lo, hi, spec, cuts=cuts)
+
+    monkeypatch.setattr(quadrature, "integrate_log", recorded)
+    cfg = OperatorConfig(phi=b2, psi=jackson, n=17, a=0.25, b=3.0,
+                         quad=QuadratureSpec(abs_tol=1e-6))
+    series = modular_convergence_series(parse_phi_spec("power:2"), "max_product",
+                                        get_test_function(which), cfg, [17, 35])
+    assert len(series) == 2
+    assert calls == [(math.log(0.25), math.log(3.0), cuts, 1e-6)] * 2
+
+
+def test_modular_series_overflow_names_lambda(b2):
+    cfg = OperatorConfig(phi=b2, psi=b2, n=2, a=1.0, b=math.e**2,
+                         quad=QuadratureSpec(abs_tol=1e-8))
+    with pytest.raises(OrliczOverflowError, match=r"lambda=1e\+200"):
+        modular_convergence_series(parse_phi_spec("power:2"), "max_product",
+                                   get_test_function("h1"), cfg, [2, 3], lam=1e200)
 
 
 def test_domination_ratio_diagnostic(b3, fejer):

@@ -23,10 +23,6 @@ from helpers import step_handle
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_depth=3)
-    with pytest.raises(ValueError):
-        QuadratureSpec(panel_nodes=4)
 
 
 def test_constant_unit_mass(quad):
@@ -57,10 +53,11 @@ def test_nonfinite_integrand_rejected(quad):
         mellin_integrate(lambda v: np.where(v > 1.5, np.nan, 1.0), 1.0, math.e, quad)
 
 
-def test_convergence_error_carries_estimate():
+def test_convergence_error_carries_estimate(monkeypatch):
     # integrable endpoint singularity: u^(-1/2) on (0, 1]; a shallow depth
     # budget cannot meet the tolerance
-    spec = QuadratureSpec(abs_tol=1e-12, max_depth=4)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
+    spec = QuadratureSpec(abs_tol=1e-12)
     with pytest.raises(QuadratureConvergenceError) as err:
         integrate_log(lambda u: 1.0 / np.sqrt(np.abs(u) + 1e-300), 1e-12, 1.0, spec)
     assert math.isfinite(err.value.estimate)
@@ -197,16 +194,17 @@ def _recording(handle):
     return replace(handle, evaluator=evaluate), reads
 
 
-def _check_segment_reads(reads, breakpoints, nodes):
+def _check_segment_reads(reads, breakpoints):
     """No read on a breakpoint, and every panel's reads in one segment.
 
-    ``integrate_log`` reads its first call as one row of ``nodes`` Gauss
-    nodes per panel and every later call as one row of ``4 nodes + 1``
-    (two half-panel Gauss rules and the Clenshaw-Curtis companion); a row's
-    Gauss nodes lie inside its panel, so its panel's segment is the one
-    every read of the row must fall in.
+    ``integrate_log`` reads its first call as one row of ``nodes =
+    quadrature._PANEL_NODES`` Gauss nodes per panel and every later call as
+    one row of ``4 nodes + 1`` (two half-panel Gauss rules and the
+    Clenshaw-Curtis companion); a row's Gauss nodes lie inside its panel, so
+    its panel's segment is the one every read of the row must fall in.
     """
     bps = np.sort(np.asarray(breakpoints))
+    nodes = quadrature._PANEL_NODES
     for i, w in enumerate(reads):
         assert not np.isin(w, bps).any()
         rows = w.reshape(-1, nodes if i == 0 else 4 * nodes + 1)
@@ -225,13 +223,13 @@ def test_segment_reads_and_batching():
     # three cuts, one panel list: the initial coarse rule, the initial
     # panels and one verification sweep
     assert len(reads) == 3
-    _check_segment_reads(reads, h.breakpoints, spec.panel_nodes)
+    _check_segment_reads(reads, h.breakpoints)
 
     # B2 at n = 1, k = 0 covers [0, 1] in u = log w, across all three cuts
     reads.clear()
     durrmeyer_coefficient(bspline_kernel(2), 0, 1, 1.0, math.exp(1.5), h, spec)
     assert reads
-    _check_segment_reads(reads, h.breakpoints, spec.panel_nodes)
+    _check_segment_reads(reads, h.breakpoints)
 
 
 def _random_piecewise_poly(rng, a, b):
