@@ -63,8 +63,11 @@ class FunctionDomainError(ValueError):
 class FunctionHandle:
     """A named real-valued signal on an interval of positive reals.
 
-    ``breakpoints`` lists interior discontinuities or branch knots.  The
-    brute-force oracle splits its trapezoid grid there so jump errors do not
+    ``breakpoints`` lists interior discontinuities or branch knots, where
+    a branch knot may be a kink (a point where the signal is continuous but
+    not smooth, such as a change of the maximising k in an operator's
+    maximum); integrals cut there integrate smooth pieces.  The brute-force
+    oracle splits its trapezoid grid there so jump errors do not
     pollute the reference values; the batched coefficient rule cuts its
     panels there, and the per-k coefficient integrals and the Orlicz
     modulars are split there and read the signal strictly inside each

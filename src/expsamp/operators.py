@@ -30,6 +30,12 @@ per-k adaptive :func:`~expsamp.quadrature.durrmeyer_coefficient`.
 A phi of bounded log support [slo, shi] is nonzero on at most
 ceil(shi - slo) + 1 of the Phi_k(w), so point and grid evaluations read phi
 on that band of k only and account for the zero terms outside it exactly.
+
+For a B-spline phi both operators are piecewise rational in x = n log w
+(Bede, Coroianu & Gal, *Approximation by Max-Product Type Operators*, 2016):
+on each knot cell every term is a polynomial, and the operator is smooth
+between the points where a maximum changes its maximising k.
+:meth:`DurrmeyerEvaluator.pieces` computes those points as polynomial roots.
 """
 
 from __future__ import annotations
@@ -70,6 +76,10 @@ _GRID_BLOCK = 4096
 # Kernel values per psi.eval_log call in a batched coefficient fill; the
 # kernels' temporaries then stay a few hundred KB however large n is.
 _PSI_BLOCK = 4096
+
+# Located pieces closer than this in x = n log w, to each other or to the
+# interval's ends, are one cut.
+_PIECE_MERGE = 1e-9
 
 # fp grace at domain edges: exp(log(b)) may overshoot b by one ulp
 _EDGE_GRACE = 1e-9
@@ -214,6 +224,58 @@ def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, h, q: int) -> np.ndarray:
     return n * acc
 
 
+@lru_cache(maxsize=8)
+def _bspline_pieces(order: int) -> np.ndarray:
+    """B[j, p], the coefficient of t**p in the cardinal B-spline N(j + t) on
+    its pieces j = 0, ..., order - 1, 0 <= t <= 1; the centered B-spline phi
+    of ``order`` is phi(y) = N(y + order/2).  From the truncated-power sum
+    N(s) = sum_i (-1)^i C(order, i) (s - i)_+^(order-1) / (order-1)!,
+    expanded in integers and divided once."""
+    r = order
+    B = [[sum((-1) ** i * math.comb(r, i) * math.comb(r - 1, p) * (j - i) ** (r - 1 - p)
+              for i in range(j + 1)) / math.factorial(r - 1) for p in range(r)]
+         for j in range(r)]
+    return np.array(B)
+
+
+def _real_roots(coef: np.ndarray, t0: np.ndarray, t1: np.ndarray):
+    """The real roots strictly inside (t0[i], t1[i]) of the polynomials
+    sum_p coef[i, p] t**p, as (row i, root) arrays.
+
+    Coefficients below 1e-13 of a row's largest are dropped from its top, so
+    a near-cancelled leading term lowers the degree instead of sending the
+    other roots astray.  Degrees 1 and 2 are solved in closed form (the
+    quadratic without cancellation), higher degrees by the eigenvalues of
+    stacked companion matrices; a complex pair within 1e-7 of the axis, as
+    at a tangency, counts as real.
+    """
+    scale = np.abs(coef).max(axis=1)
+    big = np.abs(coef) > 1e-13 * scale[:, None]
+    deg = coef.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1)
+    rows, roots = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(1, coef.shape[1]):
+            at = np.flatnonzero((deg == d) & (scale > 0))
+            c = coef[at, :d + 1]
+            if d == 1:
+                z = (-c[:, 0] / c[:, 1])[:, None]
+            elif d == 2:
+                disc = c[:, 1] ** 2 - 4.0 * c[:, 2] * c[:, 0]
+                q = -0.5 * (c[:, 1] + np.copysign(np.sqrt(disc), c[:, 1]))
+                z = np.stack([q / c[:, 2], c[:, 0] / q], axis=1)
+            else:
+                comp = np.zeros((at.size, d, d))
+                comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+                comp[:, :, -1] = -c[:, :d] / c[:, d:]
+                eig = np.linalg.eigvals(comp)
+                z = np.where(np.abs(eig.imag) <= 1e-7 * (1.0 + np.abs(eig.real)),
+                             eig.real, np.nan)
+            keep = (z > t0[at, None]) & (z < t1[at, None])
+            rows.append(np.broadcast_to(at[:, None], z.shape)[keep])
+            roots.append(z[keep])
+    return np.concatenate(rows), np.concatenate(roots)
+
+
 class DurrmeyerEvaluator:
     """Coefficient cache plus vectorized evaluation for one config.
 
@@ -355,6 +417,86 @@ class DurrmeyerEvaluator:
         value[skipped] = num[skipped] = np.nan
         den[skipped] = 0.0
         return value, num, den, first + j
+
+    def pieces(self, kind: str, h) -> tuple[float, ...]:
+        """The points w in (a, b), increasing, where the operator value
+        ``D_n h`` may fail to be smooth; ``()`` unless phi is a B-spline.
+
+        For a B-spline phi of order r the knot cells of x = n log w are
+        [M - r/2, M + 1 - r/2]; on each, the r band terms phi(x - k) for
+        k = M - j, j < r, are the pieces N(j + t) of the cardinal B-spline
+        in t = x - M + r/2 (:func:`_bspline_pieces`), so every maximum is a
+        maximum of polynomials.  The candidates are the knots and the roots
+        in each cell of: the differences of two denominator terms
+        C_k(1) phi(x - k); for max-product, of two numerator terms
+        C_k(h) phi(x - k); for max-min, of phi(x - k) - phi(x - j) and of
+        phi(x - k) - C_j(h) C_i(1) phi(x - i), which is phi(x - k) -
+        C_j(h) D(x) where the denominator's maximiser is i.  A root is kept
+        only where the maximisers (and, for max-min, the side of the
+        winning min) differ at the midpoints of the candidate intervals on
+        its two sides.  Cuts within ``_PIECE_MERGE`` of each other or of the
+        interval's ends are merged.  The zero terms outside the band never
+        win a maximum inside a cell, so they add no candidates.
+        """
+        if kind not in ("max_product", "max_min"):
+            raise ValueError(f"unknown operator kind {kind!r}")
+        phi, cfg = self.cfg.phi, self.cfg
+        if phi.family != "bspline":
+            return ()
+        r = int(phi.params[0])
+        B = _bspline_pieces(r)
+        xlo, xhi = cfg.n * math.log(cfg.a), cfg.n * math.log(cfg.b)
+        M = np.arange(math.floor(xlo + r / 2), math.ceil(xhi + r / 2))
+        left = M - r / 2
+        t0, t1 = np.clip(xlo - left, 0.0, 1.0), np.clip(xhi - left, 0.0, 1.0)
+        # the band of each cell, term j holding k = M - j; k outside J_n absent
+        k = M[:, None] - np.arange(r)
+        inside = (k >= self.ks[0]) & (k <= self.ks[-1])
+        at = np.clip(k - int(self.ks[0]), 0, self.ks.size - 1)
+        c1, ch = self.coefficients("one")[at], self.coefficients(h)[at]
+
+        # candidate polynomials, a row per (cell, pair), and their roots
+        J, I = np.triu_indices(r, 1)
+        both = inside[:, J] & inside[:, I]
+        polys = [((c1[:, J, None] * B[J] - c1[:, I, None] * B[I]), both)]
+        if kind == "max_product":
+            polys.append((ch[:, J, None] * B[J] - ch[:, I, None] * B[I], both))
+        else:
+            polys.append((np.broadcast_to(B[J] - B[I], both.shape + (r,)), both))
+            K, J3, I3 = (a.ravel() for a in np.indices((r, r, r)))
+            cd = (ch[:, J3] * c1[:, I3])[..., None]
+            polys.append((B[K] - cd * B[I3], inside[:, K] & inside[:, J3] & inside[:, I3]))
+        coef = np.concatenate([p[valid] for p, valid in polys])
+        cell = np.concatenate([np.nonzero(valid)[0] for _, valid in polys])
+        row, t = _real_roots(coef, t0[cell], t1[cell])
+        cand = cell[row]
+
+        # the maximisers at the midpoints between sorted candidates and cell ends
+        cells = np.arange(M.size)
+        pos = np.concatenate([cand, cells, cells])
+        tt = np.concatenate([t, t0, t1])
+        order = np.lexsort((tt, pos))
+        pos, tt = pos[order], tt[order]
+        c, tm = pos[:-1], 0.5 * (tt[:-1] + tt[1:])
+        vals = (tm[:, None] ** np.arange(r)) @ B.T
+        den = np.where(inside[c], c1[c] * vals, -np.inf)
+        jd = den.argmax(axis=1)
+        if kind == "max_product":
+            state = jd * r + np.where(inside[c], ch[c] * vals, -np.inf).argmax(axis=1)
+        else:
+            side = vals / den[np.arange(c.size), jd][:, None]
+            terms = np.where(inside[c], np.minimum(ch[c], side), -np.inf)
+            jm = terms.argmax(axis=1)
+            limited = ch[c, jm] < side[np.arange(c.size), jm]
+            state = (jd * r + jm) * 2 + limited
+        p = np.flatnonzero(order[1:-1] < cand.size) + 1
+        switch = state[p - 1] != state[p]
+        roots = left[pos[p][switch]] + tt[p][switch]
+
+        x = np.sort(np.concatenate([left[(left > xlo) & (left < xhi)], roots]))
+        x = x[(x > xlo + _PIECE_MERGE) & (x < xhi - _PIECE_MERGE)]
+        x = x[np.concatenate([[True], np.diff(x) > _PIECE_MERGE])]
+        return tuple(np.exp(x / cfg.n).tolist())
 
     def _point(self, kind: str, h, w: float) -> OperatorEvaluation:
         self._check_points(np.array([w], dtype=float))

@@ -332,10 +332,14 @@ def modular_convergence_series(
 
     Each value is the :func:`modular`, to ``cfg.quad``, of the error
     ``D_n h - h`` read through ``eval_grid``.  The error declares ``h``'s
-    breakpoints, so the integral is cut there: ``D_n h`` is continuous for
-    every shipped phi, and the error jumps only where ``h`` does.  Nodes
-    with a degenerate denominator count as error 0 and are counted in the
-    per-n report.
+    breakpoints and the operator's pieces
+    (:meth:`~expsamp.operators.DurrmeyerEvaluator.pieces`), so the integral
+    is cut there: ``D_n h`` is continuous for every shipped phi, the error
+    jumps only where ``h`` does, and for a B-spline phi it is smooth between
+    the pieces' ends, where a maximum changes its maximising k or phi has a
+    knot.  Phi without bounded support adds no cuts.  Nodes with a
+    degenerate denominator count as error 0 and are counted in the per-n
+    report.
     """
     n_list = [int(n) for n in n_list]
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])):
@@ -352,8 +356,9 @@ def modular_convergence_series(
             skipped_count += int(skipped.sum())
             return np.where(skipped, 0.0, vals - np.asarray(h(ws), dtype=float))
 
+        breakpoints = (*(getattr(h, "breakpoints", ()) or ()), *ev.pieces(operator, h))
         err = FunctionHandle(name=f"D_{n} h - h", domain=(cfg.a, cfg.b), evaluator=error,
-                             breakpoints=getattr(h, "breakpoints", ()) or ())
+                             breakpoints=breakpoints)
         report = modular(phi, err, cfg.a, cfg.b, lam, cfg.quad)
         report.skipped_nodes = skipped_count
         out.append(report)

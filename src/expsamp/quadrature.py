@@ -23,12 +23,13 @@ its O(width) error is negligible against the whole-interval budget.
 
 Known jumps need not be localized at all.  ``integrate_log``'s ``cuts`` are
 interior points of the range that split it into segments.  Each segment
-starts with its own eight panels, and bisection keeps every panel inside
-its segment, but all panels share the one table, round loop, verification
-sweep and target.  Every node of a panel is read clamped
-``_SEGMENT_NUDGE`` (at most a quarter of the segment's width) inside its
-segment, so a Clenshaw-Curtis endpoint on a cut reads its own segment's
-side of the jump.
+starts with its own panels, as many as its share of the range's eight
+(rounded up, at least one), so no start panel is wider than an uncut
+range's.  Bisection keeps every panel inside its segment, but all panels
+share the one table, round loop, verification sweep and target.  Every
+node of a panel is read clamped ``_SEGMENT_NUDGE`` (at most a quarter of
+the segment's width) inside its segment, so a Clenshaw-Curtis endpoint on
+a cut reads its own segment's side of the jump.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ _PANEL_NODES = 16
 
 # Hard cap on live panels, independent of _MAX_DEPTH.  A jump integrand costs
 # roughly _MAX_DEPTH panels per discontinuity, oscillatory ones a few hundred.
-# Each segment past the first between cuts raises the cap by the 16 panels
-# its start and first sweep need, so declared jumps alone never exhaust it.
+# Segment starts are rounded up, so each cut adds at most one start panel,
+# and each cut raises the cap by the 2 panels that panel and its first sweep
+# need, so declared jumps alone never exhaust it.
 _MAX_PANELS = 40_000
 
 # Distance (in log w) inside a segment between cuts at which the integrand is
@@ -97,8 +99,13 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """An accepted integral: ``value``, the acceptance target ``error_bound``
+    (``abs_tol/4``) and ``error_estimate``, the summed panel estimate at
+    acceptance, at or below ``error_bound``."""
+
     value: float
     error_bound: float
+    error_estimate: float
 
 
 @lru_cache(maxsize=32)
@@ -140,9 +147,10 @@ def integrate_log(
     ``cuts`` are strictly increasing points strictly inside ``(lo, hi)``,
     typically known jumps of ``g``: no panel straddles one, and ``g`` is
     read strictly inside each segment between them (see the module
-    docstring).  Returns the integral estimate and an error bound with
-    ``error_bound <= spec.abs_tol`` on success; the budget covers the whole
-    range, not each segment.
+    docstring).  Returns the integral estimate, the acceptance target
+    ``error_bound <= spec.abs_tol`` and the summed panel estimate
+    ``error_estimate <= error_bound`` it reached; the budget covers the
+    whole range, not each segment.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid integration bounds [{lo}, {hi}]")
@@ -219,16 +227,21 @@ def integrate_log(
         )
 
     # The panel list: one row per live panel, kept in creation order so that
-    # the stable sort below splits equal estimates oldest first.  Each
-    # segment starts with 2**init_depth panels; an uncut range is read
-    # unclamped (a nudge of -inf).
+    # the stable sort below splits equal estimates oldest first.  A segment
+    # of width s starts with ceil(2**init_depth s / (hi - lo)) equal panels,
+    # at least one, so no start panel is wider than an uncut range's, and an
+    # uncut range starts as linspace(lo, hi, 2**init_depth + 1) would cut
+    # it.  An uncut range is read unclamped (a nudge of -inf).
     s0, s1 = bounds[:-1], bounds[1:]
-    per = 2**init_depth
-    edges = np.linspace(s0, s1, per + 1, axis=1)
-    a0, b0 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    per = np.maximum(np.ceil(2**init_depth * (s1 - s0) / (hi - lo)), 1.0).astype(int)
+    seg = np.repeat(np.arange(per.size), per)
+    i = np.arange(seg.size) - np.repeat(np.cumsum(per) - per, per)
+    step = ((s1 - s0) / per)[seg]
+    a0 = i * step + s0[seg]
+    b0 = np.where(i + 1 == per[seg], s1[seg], (i + 1) * step + s0[seg])
     nudge = np.minimum(_SEGMENT_NUDGE, 0.25 * (s1 - s0)) if len(cuts) else -np.inf
-    ulo, uhi = np.repeat(s0 + nudge, per), np.repeat(s1 - nudge, per)
-    max_panels = _MAX_PANELS + 2 * per * len(cuts)
+    ulo, uhi = (s0 + nudge)[seg], (s1 - nudge)[seg]
+    max_panels = _MAX_PANELS + 2 * len(cuts)
     # the coarse Gauss values of the initial panels, from one integrand call
     half = 0.5 * (b0 - a0)
     rows = read(0.5 * (a0 + b0)[:, None] + half[:, None] * xg, ulo, uhi)
@@ -268,8 +281,10 @@ def integrate_log(
             fail("within panel budget")
         if sweep.any():
             P = np.concatenate([P[~sweep], split(P[sweep], True)])
-        if P[:, _ERR].sum() <= target:
-            return IntegralResult(value=float(P[:, _FINE].sum()), error_bound=target)
+        estimate = float(P[:, _ERR].sum())
+        if estimate <= target:
+            return IntegralResult(value=float(P[:, _FINE].sum()), error_bound=target,
+                                  error_estimate=estimate)
 
 
 def mellin_integrate(

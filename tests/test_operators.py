@@ -575,3 +575,54 @@ def test_handle_domain_must_cover_interval(b3, h2):
     with pytest.raises(ValueError, match="does not cover"):
         DurrmeyerEvaluator(cfg).coefficients(short)
     assert reads == []
+
+
+def _scanned_switches(ev, kind, h, x):
+    """Grid intervals [x[i], x[i+1]] over which the maximisers change, by a
+    dense scan of every k in J_n with phi read by its own kernel code."""
+    c_one, c_h = ev.coefficients("one"), ev.coefficients(h)
+    rows = np.arange(x.size)
+    phim = ev.cfg.phi.eval_log(x[:, None] - ev.ks)
+    den = phim * c_one
+    jd = den.argmax(axis=1)
+    if kind == "max_product":
+        state = jd * ev.ks.size + (phim * c_h).argmax(axis=1)
+    else:
+        side = phim / den[rows, jd][:, None]
+        jm = np.minimum(c_h, side).argmax(axis=1)
+        state = (jd * ev.ks.size + jm) * 2 + (c_h[jm] < side[rows, jm])
+    return np.flatnonzero(state[1:] != state[:-1])
+
+
+@pytest.mark.parametrize("which", ["h1", "h2"])
+@pytest.mark.parametrize("kind", ["max_product", "max_min"])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_pieces_cover_scanned_switches(order, kind, which, fejer):
+    cfg = OperatorConfig(phi=bspline_kernel(order), psi=fejer, n=6, a=0.25, b=3.0,
+                         quad=QuadratureSpec(abs_tol=1e-9))
+    ev, h = DurrmeyerEvaluator(cfg), get_test_function(which)
+    cuts = np.log(ev.pieces(kind, h)) * cfg.n
+    xlo, xhi = cfg.n * math.log(cfg.a), cfg.n * math.log(cfg.b)
+    assert np.all(np.diff(cuts) > 0) and xlo < cuts[0] and cuts[-1] < xhi
+    knots = np.arange(math.ceil(xlo + order / 2), math.floor(xhi + order / 2) + 1) - order / 2
+    knots = knots[(knots > xlo) & (knots < xhi)]
+    # every knot is a cut, up to the rounding of exp and log
+    assert np.abs(cuts[np.searchsorted(cuts, knots - 1e-9)] - knots).max() < 1e-9
+
+    x = np.linspace(xlo, xhi, 200_001)
+    step = x[1] - x[0]
+    switches = _scanned_switches(ev, kind, h, x)
+    assert switches.size > 10
+    i = np.clip(np.searchsorted(cuts, x[switches]), 1, cuts.size - 1)
+    lo, hi = x[switches] - step, x[switches + 1] + step
+    found = ((cuts[i - 1] >= lo) & (cuts[i - 1] <= hi)) | ((cuts[i] >= lo) & (cuts[i] <= hi))
+    assert found.all(), x[switches][~found]
+    # only actual switches are kept: no more roots than the scan sees
+    assert cuts.size - knots.size <= switches.size
+
+
+@pytest.mark.parametrize("phi_spec", ["fejer:pi:0", "jackson:1.05:1"])
+def test_pieces_need_bounded_support(phi_spec, b2, h2):
+    cfg = OperatorConfig(phi=parse_kernel_spec(phi_spec), psi=b2, n=6, a=0.25, b=3.0)
+    ev = DurrmeyerEvaluator(cfg)
+    assert ev.pieces("max_product", h2) == () and ev.pieces("max_min", h2) == ()

@@ -1,5 +1,6 @@
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from expsamp import (
     QuadratureConvergenceError,
     QuadratureSpec,
     delta2_probe,
+    get_evaluator,
     get_test_function,
     jensen_max_checks,
     luxemburg_norm,
@@ -419,6 +421,27 @@ def test_modular_series_h2_non_increasing(b2, jackson, h2):
 ])
 def test_modular_series_is_one_modular_per_n(b2, jackson, which, cuts, monkeypatch):
     # each value is one modular of the error signal, cut at h's breakpoints
+    # and, for the B-spline phi, at the operator's pieces
+    calls = _recorded_modular_calls(b2, jackson, which, monkeypatch)
+    assert len(calls) == 2
+    for lo, hi, got, abs_tol in calls:
+        assert (lo, hi, abs_tol) == (math.log(0.25), math.log(3.0), 1e-6)
+        assert set(cuts) <= set(got) and len(got) > len(cuts) + 40
+
+
+@pytest.mark.parametrize("which,cuts", [
+    ("h1", ()),
+    ("h2", tuple(math.log(t) for t in (0.6, 1.2, 1.8, 2.4))),
+])
+def test_modular_series_unbounded_phi_cuts_at_h_only(jackson, which, cuts, monkeypatch):
+    # a phi without bounded support declares no pieces
+    calls = _recorded_modular_calls(jackson, jackson, which, monkeypatch)
+    assert calls == [(math.log(0.25), math.log(3.0), cuts, 1e-6)] * 2
+
+
+def _recorded_modular_calls(phi, psi, which, monkeypatch):
+    """(lo, hi, cuts, abs_tol) of each ``integrate_log`` call of a two-value
+    max-product series."""
     calls = []
     engine = quadrature.integrate_log
 
@@ -427,12 +450,33 @@ def test_modular_series_is_one_modular_per_n(b2, jackson, which, cuts, monkeypat
         return engine(g, lo, hi, spec, cuts=cuts)
 
     monkeypatch.setattr(quadrature, "integrate_log", recorded)
-    cfg = OperatorConfig(phi=b2, psi=jackson, n=17, a=0.25, b=3.0,
+    cfg = OperatorConfig(phi=phi, psi=psi, n=17, a=0.25, b=3.0,
                          quad=QuadratureSpec(abs_tol=1e-6))
     series = modular_convergence_series(parse_phi_spec("power:2"), "max_product",
                                         get_test_function(which), cfg, [17, 35])
     assert len(series) == 2
-    assert calls == [(math.log(0.25), math.log(3.0), cuts, 1e-6)] * 2
+    return calls
+
+
+@pytest.mark.parametrize("which", ["h1", "h2"])
+@pytest.mark.parametrize("kind", ["max_product", "max_min"])
+def test_modular_series_matches_uncut(b3, fejer, kind, which):
+    # the pieces move where the error is integrated, not its value
+    tol = 1e-8
+    cfg = OperatorConfig(phi=b3, psi=fejer, n=9, a=0.25, b=3.0, quad=QuadratureSpec(abs_tol=tol))
+    h, gauge = get_test_function(which), parse_phi_spec("power:2")
+    series = modular_convergence_series(gauge, kind, h, cfg, [9, 17])
+    for rep, n in zip(series, [9, 17]):
+        ev = get_evaluator(replace(cfg, n=n))
+
+        def error(ws, ev=ev):
+            vals, skipped = ev.eval_grid(kind, h, ws)
+            return np.where(skipped, 0.0, vals - h(ws))
+
+        err = FunctionHandle(name="error", domain=(cfg.a, cfg.b), evaluator=error,
+                             breakpoints=h.breakpoints)
+        uncut = modular(gauge, err, cfg.a, cfg.b, spec=cfg.quad).modular_value
+        assert rep.modular_value == pytest.approx(uncut, rel=0, abs=tol)
 
 
 def test_modular_series_overflow_names_lambda(b2):

@@ -95,8 +95,8 @@ def test_refinement_batches_splits():
 @pytest.mark.parametrize("jumps", [40, 3000])
 def test_cuts_remove_jump_localization(jumps):
     # every jump declared: each segment's panels converge at once, in the
-    # fixed three integrand calls, to the exact value; 3000 segments need
-    # more start-up panels than _MAX_PANELS alone allows
+    # fixed three integrand calls, to the exact value; 3000 segments start
+    # with one panel each, within the cap that each cut raises by two
     calls = []
 
     def g(u):
@@ -107,6 +107,82 @@ def test_cuts_remove_jump_localization(jumps):
     res = integrate_log(g, 0.0, 1.0, QuadratureSpec(abs_tol=1e-10), cuts=cuts)
     assert res.value == pytest.approx(0.5, abs=1e-12)
     assert len(calls) == 3
+
+
+def test_start_panels_no_wider_than_an_eighth():
+    # a segment of width s starts with ceil(8 s / (hi - lo)) equal panels
+    calls = []
+
+    def g(u):
+        calls.append(u.copy())
+        return np.cos(u)
+
+    lo, hi = -0.3, 2.1
+    cuts = [-0.29, -0.2, 0.25, 0.26, 1.9, 2.0999]
+    res = integrate_log(g, lo, hi, QuadratureSpec(abs_tol=1e-12), cuts=cuts)
+    assert res.value == pytest.approx(math.sin(hi) - math.sin(lo), rel=0, abs=1e-12)
+    xg = quadrature._leggauss(quadrature._PANEL_NODES)[0]
+    rows = calls[0].reshape(-1, xg.size)
+    widths = (rows[:, -1] - rows[:, 0]) / (xg[-1] - xg[0])
+    assert widths.max() <= (hi - lo) / 8 * (1 + 1e-9)
+    bounds = np.array([lo, *cuts, hi])
+    per = np.maximum(np.ceil(8 * np.diff(bounds) / (hi - lo)), 1)
+    assert rows.shape[0] == per.sum()
+    assert np.array_equal(np.searchsorted(bounds, rows[:, 0]) - 1,
+                          np.repeat(np.arange(per.size), per.astype(int)))
+
+
+def _quietest_jump():
+    """The panel-relative place c in (0, 1) of a unit step whose panel error
+    the engine's estimate understates most, the estimate per unit width
+    there, and its ratio to the half-panel pair's actual error (about a
+    fifth)."""
+    m = quadrature._PANEL_NODES
+    xg, wg = quadrature._leggauss(m)
+    xc, wc = quadrature._clenshaw_curtis(2 * m)
+    nodes = np.sort(np.concatenate([0.5 + 0.5 * xg, 0.25 + 0.25 * xg, 0.75 + 0.25 * xg,
+                                    0.5 + 0.5 * xc]))
+    c = np.linspace(nodes[:-1], nodes[1:], 41)[1:-1].ravel()
+    step = lambda t: (t[None, :] > c[:, None]).astype(float)
+    coarse = 0.5 * step(0.5 + 0.5 * xg) @ wg
+    fine = 0.25 * (step(0.25 + 0.25 * xg) @ wg + step(0.75 + 0.25 * xg) @ wg)
+    cc = 0.5 * step(0.5 + 0.5 * xc) @ wc
+    estimate = np.abs(fine - coarse) + np.abs(cc - coarse)
+    i = np.argmin(estimate / np.abs(fine - (1.0 - c)))
+    return float(c[i]), float(estimate[i]), float(estimate[i] / abs(fine[i] - (1.0 - c[i])))
+
+
+def test_wide_segment_catches_quiet_jump():
+    # an undeclared jump where the two rules nearly agree, in a start panel
+    # of a wide segment that sits next to a hundred narrow ones.  Its height
+    # puts the start panel's estimate just under the acceptance target, and
+    # its actual error above abs_tol, so only the verification sweep can
+    # catch it.
+    tol = 1e-10
+    c, estimate, ratio = _quietest_jump()
+    assert ratio < 0.25
+    jump = 0.125 * (1 + c)  # in the second of the wide segment's four panels
+    height = 0.9 * (tol / 4) / (0.125 * estimate)
+    assert height * 0.125 * estimate / ratio > tol
+    cuts = [0.5 + 0.005 * i for i in range(100)]
+
+    def g(u):
+        return np.cos(3.0 * u) + height * (u > jump)
+
+    res = integrate_log(g, 0.0, 1.0, QuadratureSpec(abs_tol=tol), cuts=cuts)
+    assert res.value == pytest.approx(math.sin(3.0) / 3.0 + height * (1.0 - jump), rel=0, abs=tol)
+
+
+def test_error_estimate_within_bound():
+    # the achieved estimate is reported next to the acceptance target
+    rng = np.random.default_rng(5)
+    for cuts in ((), (0.25, 0.5), tuple(np.sort(rng.uniform(0.0, 1.0, 30)))):
+        for tol in (1e-6, 1e-10):
+            res = integrate_log(lambda u: np.cos(40.0 * u) + (u > 0.7), 0.0, 1.0,
+                                QuadratureSpec(abs_tol=tol), cuts=cuts)
+            assert res.error_bound == tol / 4
+            assert 0.0 <= res.error_estimate <= res.error_bound
+            assert res.value == pytest.approx(math.sin(40.0) / 40.0 + 0.3, rel=0, abs=tol)
 
 
 @pytest.mark.parametrize("cuts", [
