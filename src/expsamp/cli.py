@@ -464,7 +464,8 @@ def _run_modular(cfg: ExperimentConfig) -> None:
     out = Path(cfg.output)
     _write_output(out, "csv", cfg.to_dict(), [
         {"n": n, "modular_value": rep.modular_value, "lambda": rep.lam,
-         "skipped_nodes": rep.skipped_nodes}
+         "skipped_nodes": rep.skipped_nodes, "error_estimate": rep.error_estimate,
+         "error_bound": rep.error_bound}
         for n, rep in zip(cfg.n_list, series)
     ], write_csv)
     click.echo(f"wrote {out} ({len(series)} rows)")

@@ -30,6 +30,8 @@ per-k adaptive :func:`~expsamp.quadrature.durrmeyer_coefficient`.
 A phi of bounded log support [slo, shi] is nonzero on at most
 ceil(shi - slo) + 1 of the Phi_k(w), so point and grid evaluations read phi
 on that band of k only and account for the zero terms outside it exactly.
+The band's terms are held as one row per band position and one column per
+point, so every maximum over k is a reduction across a few contiguous rows.
 
 For a B-spline phi both operators are piecewise rational in x = n log w
 (Bede, Coroianu & Gal, *Approximation by Max-Product Type Operators*, 2016):
@@ -47,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import KernelDescriptor, compute_metrics
-from .quadrature import _PANEL_NODES, QuadratureSpec, _leggauss, durrmeyer_coefficient
+from .quadrature import QuadratureSpec, _leggauss, durrmeyer_coefficient
 
 __all__ = [
     "OperatorConfig",
@@ -72,6 +74,9 @@ _DENOMINATOR_FLOOR = 1e-300
 # temporaries take _GRID_BLOCK x (band or |J_n|) x 8 bytes (4.3 MB at
 # |J_n| = 132).
 _GRID_BLOCK = 4096
+
+# Gauss-Legendre nodes per lattice cell in a batched coefficient fill.
+_LATTICE_NODES = 16
 
 # Kernel values per psi.eval_log call in a batched coefficient fill; the
 # kernels' temporaries then stay a few hundred KB however large n is.
@@ -165,6 +170,15 @@ def _finite(vals) -> np.ndarray:
     return vals
 
 
+def _first_max(terms: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The smallest row index i with ``terms[i] == top`` in each column, where
+    ``top`` is the column maximum: the largest of the reversed ranks
+    m - i over the matching rows, from one axis-0 reduction."""
+    m = terms.shape[0]
+    rank = np.arange(m, 0, -1)[:, None]
+    return m - (np.equal(terms, top) * rank).max(axis=0)
+
+
 def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, h, q: int) -> np.ndarray:
     """C_k(h) for every k in ``ks`` from one composite Gauss-Legendre rule.
 
@@ -178,7 +192,7 @@ def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, h, q: int) -> np.ndarray:
     once, at Gauss nodes only, so never on a panel edge.
     """
     n, psi = cfg.n, cfg.psi
-    x, wg = _leggauss(_PANEL_NODES)
+    x, wg = _leggauss(_LATTICE_NODES)
     t, wt = 0.5 * (1.0 + x), 0.5 * wg
     step = 1.0 / (q * n)
     # interval ends, breakpoints and panel edges in lattice units s = u / step
@@ -383,31 +397,38 @@ class DurrmeyerEvaluator:
         below 0 is skipped as a 0 would be, one above 0 is not reached
         outside the band.  Phi without bounded support, or with m >= |J_n|,
         reads all of J_n.
+
+        The band terms are laid out band-major, a row of the m band positions
+        by a column per point, so each maximum is a contiguous reduction over
+        the m rows, and the smallest maximising index comes from a second one
+        (:func:`_first_max`).  The max-min value is the term at that index.
         """
         c_one, c_h = self.coefficients("one"), self.coefficients(h)
         phi, size = self.cfg.phi, self.ks.size
         support = phi.log_support
         m = size if support is None else min(size, math.ceil(support[1] - support[0]) + 1)
         banded = m < size
-        first = (np.clip(np.ceil(x - support[1]) - self.ks[0], 0, size - m).astype(int)
-                 if banded else np.zeros(x.size, dtype=int))
-        cols = first[:, None] + np.arange(m)
-        rows = np.arange(x.size)
-        phim = np.asarray(phi.eval_log(x[:, None] - self.ks[cols]))
-        den_terms = phim * c_one[cols]
-        j = den_terms.argmax(axis=1)
-        den = den_terms[rows, j]
-        skipped = den < _DENOMINATOR_FLOOR
-        den[skipped] = 1.0
+        if banded:
+            first = np.clip(np.ceil(x - support[1]) - self.ks[0], 0, size - m).astype(int)
+            band = first + np.arange(m)[:, None]
+        else:
+            first = np.zeros(x.size, dtype=int)
+            band = np.arange(m)[:, None]
+        phim = np.asarray(phi.eval_log(x - self.ks[band]))
+        den_terms = phim * c_one[band]
+        top = den_terms.max(axis=0)
+        skipped = top < _DENOMINATOR_FLOOR
+        den = np.where(skipped, 1.0, top)
         if kind == "max_product":
-            num = (phim * c_h[cols]).max(axis=1)
+            j = _first_max(den_terms, top)
+            num = (phim * c_h[band]).max(axis=0)
             if banded:
                 num = np.maximum(num, 0.0)
             value = num / den
         else:
-            terms = np.minimum(c_h[cols], phim / den[:, None])
-            j = terms.argmax(axis=1)
-            value = terms[rows, j]
+            terms = np.minimum(c_h[band], phim / den)
+            j = _first_max(terms, terms.max(axis=0))
+            value = terms[j, np.arange(x.size)]
             if banded:
                 outer = np.minimum(c_h, 0.0)
                 k0 = int(outer.argmax())

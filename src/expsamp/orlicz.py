@@ -147,10 +147,21 @@ def parse_phi_spec(text: str) -> PhiFunction:
 
 @dataclass
 class ModularReport:
+    """A modular ``modular_value`` at scaling ``lam`` over ``interval``.
+
+    ``error_bound`` is the quadrature's acceptance target and
+    ``error_estimate`` the summed panel estimate it reached, at or below
+    ``error_bound`` (see :class:`~expsamp.quadrature.IntegralResult`); NaN
+    on a report not made by :func:`modular`.  ``skipped_nodes`` counts the
+    nodes a modular series read with a degenerate denominator.
+    """
+
     modular_value: float
     lam: float
     interval: tuple[float, float]
     skipped_nodes: int = 0
+    error_estimate: float = math.nan
+    error_bound: float = math.nan
 
 
 def modular(
@@ -165,7 +176,8 @@ def modular(
 
     The range is cut at ``h``'s declared breakpoints and integrated in one
     panel list to the one budget ``spec.abs_tol``, with ``h`` read strictly
-    inside each segment.  A non-finite value of ``h`` raises ValueError
+    inside each segment; the report carries the integral's error estimate
+    and acceptance target.  A non-finite value of ``h`` raises ValueError
     naming the handle; a gauge value that overflows (to inf, or past the
     exponential gauge's guard) raises OrliczOverflowError naming ``lam``.
     """
@@ -184,10 +196,11 @@ def modular(
         return out
 
     try:
-        value = _integrate_segments(f, h, math.log(a), math.log(b), spec)
+        result = _integrate_segments(f, h, math.log(a), math.log(b), spec)
     except OrliczOverflowError as exc:
         raise OrliczOverflowError(f"modular overflow at lambda={lam:g}: {exc}") from exc
-    return ModularReport(modular_value=value, lam=lam, interval=(a, b))
+    return ModularReport(modular_value=result.value, lam=lam, interval=(a, b),
+                         error_estimate=result.error_estimate, error_bound=result.error_bound)
 
 
 def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -> float:

@@ -5,21 +5,26 @@ Every integral in this package is of the form ``int_a^b f(v) dv/v`` with
 Lebesgue integral ``int_{log a}^{log b} f(e^u) du``, which is what the
 adaptive engine below actually computes.
 
-The engine is a globally adaptive bisection scheme.  Each panel carries a
-fixed-order Gauss-Legendre value, the value from halving the panel once, and
-an endpoint-including Clenshaw-Curtis companion of doubled order; the error
-estimate combines both differences so that features hiding in the edge
-shadow of the Gauss nodes are sensed.  The panels live in one list, a table
-with a row per panel.  Refinement runs in rounds, as in Shampine's
-vectorized adaptive quadrature (J. Comput. Appl. Math. 211, 2008): a round
-sorts the panels that may still be split by estimate and splits the worst
-ones, until their estimates cover the excess of the summed estimate over the
-target, in one integrand call.  Rounds repeat until the summed estimate
-meets the target; results are only accepted once every panel's estimate has
-survived one forced cross-check split.  Global (rather than
-width-proportional) error targeting is what lets integrands with jump
-discontinuities converge: the panel straddling a jump keeps shrinking until
-its O(width) error is negligible against the whole-interval budget.
+The engine is a globally adaptive bisection scheme.  Each panel carries an
+8-node Gauss-Legendre value, the value from halving the panel once, and an
+endpoint-including Clenshaw-Curtis companion of doubled order (17 nodes);
+the error estimate combines both differences so that features hiding in
+the edge shadow of the Gauss nodes are sensed.  A start panel costs 8
+coarse nodes, 33 for its halves and companion and 66 for its verification
+split, 107 in all.  The order is low because the integrands here are
+piecewise smooth between declared cuts, where 8-node halves already reach
+the rounding floor; wide oscillatory integrands pay for it in more panels.
+The panels live in one list, a table with a row per panel.  Refinement
+runs in rounds, as in Shampine's vectorized adaptive quadrature (J. Comput.
+Appl. Math. 211, 2008): a round sorts the panels that may still be split
+by estimate and splits the worst ones, until their estimates cover the
+excess of the summed estimate over the target, in one integrand call.
+Rounds repeat until the summed estimate meets the target; results are only
+accepted once every panel's estimate has survived one forced cross-check
+split.  Global (rather than width-proportional) error targeting is what
+lets integrands with jump discontinuities converge: the panel straddling a
+jump keeps shrinking until its O(width) error is negligible against the
+whole-interval budget.
 
 Known jumps need not be localized at all.  ``integrate_log``'s ``cuts`` are
 interior points of the range that split it into segments.  Each segment
@@ -50,12 +55,15 @@ __all__ = [
     "durrmeyer_coefficient",
 ]
 
-# Bisection depth limit per panel, and Gauss-Legendre nodes per panel.
+# Bisection depth limit per panel, and Gauss-Legendre nodes per panel half
+# (the batched coefficient fill keeps its own node count,
+# operators._LATTICE_NODES).
 _MAX_DEPTH = 48
-_PANEL_NODES = 16
+_PANEL_NODES = 8
 
 # Hard cap on live panels, independent of _MAX_DEPTH.  A jump integrand costs
-# roughly _MAX_DEPTH panels per discontinuity, oscillatory ones a few hundred.
+# roughly _MAX_DEPTH panels per discontinuity, oscillatory ones up to a few
+# thousand at 8 nodes per panel half (cos(1000 u) on [0, 1] takes about 1,100).
 # Segment starts are rounded up, so each cut adds at most one start panel,
 # and each cut raises the cap by the 2 panels that panel and its first sweep
 # need, so declared jumps alone never exhaust it.
@@ -178,7 +186,8 @@ def integrate_log(
     def read(pts: np.ndarray, ulo: np.ndarray, uhi: np.ndarray) -> np.ndarray:
         """``g`` at the nodes ``pts``, a row per panel, each row clamped to
         its segment's read range ``[ulo, uhi]``."""
-        np.clip(pts, ulo[:, None], uhi[:, None], out=pts)
+        np.maximum(pts, ulo[:, None], out=pts)
+        np.minimum(pts, uhi[:, None], out=pts)
         vals = np.asarray(g(pts.ravel()), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"integrand returned non-finite values on [{lo}, {hi}]")
@@ -245,7 +254,7 @@ def integrate_log(
     # the coarse Gauss values of the initial panels, from one integrand call
     half = 0.5 * (b0 - a0)
     rows = read(0.5 * (a0 + b0)[:, None] + half[:, None] * xg, ulo, uhi)
-    coarse = half * np.array([wg @ row for row in rows])
+    coarse = half * (rows @ wg)
     P = panels(a0, b0, np.full(a0.size, float(init_depth)), coarse, False, ulo, uhi)
     while True:
         # refinement phase: each round sorts the splittable panels by
@@ -352,11 +361,13 @@ def durrmeyer_coefficient(
     # spec.abs_tol / (2n) so the delivered coefficient error stays below
     # abs_tol/2 (linear combinations of coefficients then stay within the
     # documented 2*abs_tol).
-    return n * _integrate_segments(f, None if one else h, lo, hi, spec, divisor=2 * n)
+    return n * _integrate_segments(f, None if one else h, lo, hi, spec, divisor=2 * n).value
 
 
-def _integrate_segments(f, h, lo: float, hi: float, spec: QuadratureSpec, divisor: int = 1) -> float:
-    """``int_lo^hi f(u, h(e^u)) du``, cut at ``h``'s declared breakpoints.
+def _integrate_segments(f, h, lo: float, hi: float, spec: QuadratureSpec,
+                        divisor: int = 1) -> IntegralResult:
+    """``int_lo^hi f(u, h(e^u)) du`` as an :class:`IntegralResult`, cut at
+    ``h``'s declared breakpoints.
 
     The logarithms of the breakpoints strictly inside ``(lo, hi)`` become
     the ``cuts`` of one ``integrate_log`` call to ``spec.abs_tol / divisor``:
@@ -373,4 +384,4 @@ def _integrate_segments(f, h, lo: float, hi: float, spec: QuadratureSpec, diviso
     def g(u: np.ndarray) -> np.ndarray:
         return f(u, None if h is None else np.asarray(h(np.exp(u)), dtype=float))
 
-    return integrate_log(g, lo, hi, QuadratureSpec(spec.abs_tol / divisor), cuts=cuts).value
+    return integrate_log(g, lo, hi, QuadratureSpec(spec.abs_tol / divisor), cuts=cuts)

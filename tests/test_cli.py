@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -314,6 +315,21 @@ def test_modular_cmd(runner, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,modular_value,lambda"
     assert len(lines) == 3
+
+
+def test_modular_mirror_states_error(runner, tmp_path):
+    out = tmp_path / "mod.csv"
+    res = runner.invoke(main, [
+        "modular", "--phi-function", "power:2", "--operator", "max_min",
+        "--phi", "bspline:3", "--psi", "fejer:pi:0", "--n-list", "5,9",
+        "--function", "h2", "--quad-tol", "1e-8", "--output", str(out),
+    ])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(Path(str(out) + ".json").read_text())["rows"]
+    assert [r["n"] for r in rows] == [5, 9]
+    for r in rows:
+        assert r["error_bound"] == 1e-8 / 4
+        assert 0.0 <= r["error_estimate"] <= r["error_bound"]
 
 
 def test_modular_requires_phi_function(runner, tmp_path):

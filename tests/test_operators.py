@@ -24,7 +24,7 @@ from expsamp import (
     maxmin_algebra_checks,
     parse_kernel_spec,
 )
-from expsamp import operators
+from expsamp import operators, quadrature
 from helpers import (
     combine,
     piecewise_constant_handle,
@@ -532,6 +532,26 @@ def test_batched_fill_does_not_depend_on_psi_block(jackson, h2, monkeypatch):
         fills.append(ev.coefficients(h2))
         assert ev.engines[h2] == "batched"
     np.testing.assert_allclose(fills[1], fills[0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("nodes", [4, 16])
+@pytest.mark.parametrize("phi_spec, psi_spec", [
+    ("bspline:3", "fejer:pi:0"),
+    ("bspline:2", "jackson:1.05:1"),
+])
+def test_batched_fill_ignores_engine_panel_order(phi_spec, psi_spec, nodes, h1, h2, monkeypatch):
+    # the lattice rule keeps its own node count, so the adaptive engine's
+    # panel order reaches no batched fill
+    cfg = OperatorConfig(phi=parse_kernel_spec(phi_spec), psi=parse_kernel_spec(psi_spec),
+                         n=17, a=0.1, b=3.0, quad=QuadratureSpec(abs_tol=1e-9))
+    handles = ("one", h1, h2)
+    ev = DurrmeyerEvaluator(cfg)
+    want = [ev.coefficients(h) for h in handles]
+    monkeypatch.setattr(quadrature, "_PANEL_NODES", nodes)
+    ev = DurrmeyerEvaluator(cfg)
+    for h, w in zip(handles, want):
+        assert np.array_equal(ev.coefficients(h), w)
+        assert ev.engines[h] == "batched"
 
 
 def test_undeclared_jump_falls_back(jackson, h2, caplog):

@@ -479,6 +479,24 @@ def test_modular_series_matches_uncut(b3, fejer, kind, which):
         assert rep.modular_value == pytest.approx(uncut, rel=0, abs=tol)
 
 
+def test_modular_report_states_its_error(b3, fejer):
+    # a modular carries its quadrature's achieved estimate and target, as
+    # does every value of a modular series
+    spec = QuadratureSpec(abs_tol=1e-9)
+    edges = [1.0, 1.4, 2.0, math.e]
+    h = step_handle(edges, [0.5, 1.5, 0.8], edges[1:-1])
+    reports = [modular(parse_phi_spec(g), h, 1.0, math.e, spec=spec) for g in GAUGES]
+    reports.append(modular(parse_phi_spec("power:2"), lambda w: np.sin(np.log(w) * 7.0),
+                           1.0, math.e, spec=spec))
+    cfg = OperatorConfig(phi=b3, psi=fejer, n=9, a=0.25, b=3.0, quad=spec)
+    for kind in ("max_product", "max_min"):
+        reports += modular_convergence_series(parse_phi_spec("power:2"), kind,
+                                              get_test_function("h2"), cfg, [9, 17])
+    for rep in reports:
+        assert rep.error_bound == spec.abs_tol / 4
+        assert 0.0 <= rep.error_estimate <= rep.error_bound
+
+
 def test_modular_series_overflow_names_lambda(b2):
     cfg = OperatorConfig(phi=b2, psi=b2, n=2, a=1.0, b=math.e**2,
                          quad=QuadratureSpec(abs_tol=1e-8))

@@ -78,9 +78,10 @@ def test_power_closed_form(loga, width, s):
 
 
 def test_refinement_batches_splits():
-    # an oscillation that takes some 350 panels plus an undeclared jump:
-    # splitting one panel per integrand call took 84 calls, a round of
-    # splits per call takes 31 for the same 22,748 points
+    # an oscillation that takes about a thousand 8-node panels plus an
+    # undeclared jump: a round of splits per integrand call takes 34 calls
+    # (35,836 points); splitting one panel per call took 84 calls even with
+    # 16-node panels, which need about 350
     calls = []
 
     def g(u):
@@ -305,6 +306,25 @@ def test_segment_reads_and_batching():
     reads.clear()
     durrmeyer_coefficient(bspline_kernel(2), 0, 1, 1.0, math.exp(1.5), h, spec)
     assert reads
+    _check_segment_reads(reads, h.breakpoints)
+
+
+@pytest.mark.parametrize("nodes", [4, 8, 16])
+@pytest.mark.parametrize("cuts", [9, 40])
+def test_constant_pieces_cost_one_start_panel_each(cuts, nodes, monkeypatch):
+    # every segment is narrower than an eighth of the range, so each starts
+    # with one panel: `nodes` coarse Gauss nodes, two half-panel rules and a
+    # Clenshaw-Curtis companion (4 nodes + 1), and one sweep split of both
+    # halves (8 nodes + 2)
+    monkeypatch.setattr(quadrature, "_PANEL_NODES", nodes)
+    edges = np.exp(np.linspace(0.0, 1.0, cuts + 2))
+    values = 0.2 + 0.7 * (np.arange(cuts + 1) % 3) / 2
+    h, reads = _recording(step_handle(edges, values, edges[1:-1]))
+    rep = modular(parse_phi_spec("power:2"), h, 1.0, math.e)
+    assert rep.modular_value == pytest.approx(float(np.sum(values**2)) / (cuts + 1),
+                                              rel=0, abs=1e-12)
+    assert len(reads) == 3
+    assert sum(r.size for r in reads) == (cuts + 1) * (13 * nodes + 3)
     _check_segment_reads(reads, h.breakpoints)
 
 
