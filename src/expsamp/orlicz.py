@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -153,7 +154,11 @@ class ModularReport:
     ``error_estimate`` the summed panel estimate it reached, at or below
     ``error_bound`` (see :class:`~expsamp.quadrature.IntegralResult`); NaN
     on a report not made by :func:`modular`.  ``skipped_nodes`` counts the
-    nodes a modular series read with a degenerate denominator.
+    nodes a modular series read with a degenerate denominator.  ``rule`` is
+    the integral's accepted rule in ``u = log w``
+    (:attr:`~expsamp.quadrature.IntegralResult.rule`), None on a report not
+    made by :func:`modular` or kept by :func:`modular_convergence_series`;
+    it takes no part in equality or repr.
     """
 
     modular_value: float
@@ -162,6 +167,8 @@ class ModularReport:
     skipped_nodes: int = 0
     error_estimate: float = math.nan
     error_bound: float = math.nan
+    rule: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, compare=False, repr=False)
 
 
 def modular(
@@ -200,66 +207,138 @@ def modular(
     except OrliczOverflowError as exc:
         raise OrliczOverflowError(f"modular overflow at lambda={lam:g}: {exc}") from exc
     return ModularReport(modular_value=result.value, lam=lam, interval=(a, b),
-                         error_estimate=result.error_estimate, error_bound=result.error_bound)
+                         error_estimate=result.error_estimate, error_bound=result.error_bound,
+                         rule=result.rule)
 
 
 def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -> float:
     """Luxemburg norm ``inf { l > 0 : I[h / l] <= 1 }``.
 
-    The bracket is grown geometrically from 1 until the modular crosses 1.
     The root of ``f(l) = I[h / l] - 1``, which is convex and non-increasing
-    in ``l`` for a convex gauge, is then bracketed down to width ``tol`` by
-    Illinois regula falsi with two safeguards: each trial point lies at
-    least ``tol/2`` inside the bracket, and when the last three steps
-    together failed to halve the bracket the next step bisects (as does any
-    step while ``f`` is infinite at the lower end).  A gauge overflow counts
-    as ``f = +inf``, and a modular whose quadrature fails to converge with
-    its estimate more than its error bound above 1 counts as that estimate.
-    The upper end is returned, so the norm lies in ``(hi - tol, hi]`` up to
-    the modular's quadrature error, as with plain bisection.
+    in ``l`` for a convex gauge, is bracketed to width ``tol`` by
+    :func:`_bracket_root`: geometric growth from ``l = 1``, then
+    safeguarded Illinois regula falsi.  A gauge overflow counts as
+    ``f = +inf``, and a modular whose quadrature fails to converge with its
+    estimate more than its error bound above 1 counts as that estimate.
+
+    Only the gauge scaling changes from one trial to the next, so the first
+    modular, at ``l = 1``, is run adaptively and its accepted rule kept:
+    ``h`` is read once at the rule's nodes, and the whole search runs on
+    the frozen modular ``sum_j w_j zeta(|h_j| / l)``, without further
+    integrals.  Two adaptive modulars then confirm the proposed bracket,
+    ``f(hi) <= 0 < f(lo)``.  Where a side fails, the search continues on
+    adaptive modulars from the failed end, widening outward by steps of
+    ``tol`` that double until the signs straddle, and closes that bracket
+    the same way.  Without a rule (the first modular overflowed, or its
+    quadrature failed far above 1) every trial is an adaptive modular from
+    ``l = 1``.  Either way the returned upper end, a zero norm and an
+    UnboundedNormError all rest on adaptive modulars: the norm lies in
+    ``(hi - tol, hi]`` up to the modular's quadrature error.
 
     Identically-zero handles (detected on a 1001-point probe grid) have
     norm 0, and so do handles whose modular stays at most 1 down to scalings
-    of ``2**-64``.  A handle with non-finite values raises ValueError.
+    of ``2**-64``; bracket growth past ``2**64`` raises UnboundedNormError.
+    A handle with non-finite values raises ValueError.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (0 < a < b < math.inf):
+        raise ValueError(f"need 0 < a < b < inf, got a={a}, b={b}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
     probe = np.exp(np.linspace(math.log(a), math.log(b), 1001))
     if float(np.max(np.abs(np.asarray(h(probe), dtype=float)))) == 0.0:
         return 0.0
 
     spec = QuadratureSpec(abs_tol=min(1e-10, tol * 1e-3))
 
-    def excess(ell: float) -> float:
+    def adaptive(ell: float):
+        """``f(ell)`` from an adaptive modular, and that modular's rule."""
         try:
-            return modular(phi, h, a, b, lam=1.0 / ell, spec=spec).modular_value - 1.0
+            report = modular(phi, h, a, b, lam=1.0 / ell, spec=spec)
         except OrliczOverflowError:
-            return math.inf
+            return math.inf, None
         except QuadratureConvergenceError as exc:
             # the absolute budget can lie below the rounding floor of a
             # modular far above 1, where only the side of 1 matters; the
             # exception carries the whole modular's estimate and bound
             if exc.estimate - exc.error_bound > 1.0:
-                return exc.estimate - 1.0
+                return exc.estimate - 1.0, None
             raise
+        return report.modular_value - 1.0, report.rule
 
-    hi, f_hi = 1.0, excess(1.0)
-    if f_hi > 0:
-        while f_hi > 0:
-            lo, f_lo = hi, f_hi
-            hi *= 2.0
+    def excess(ell: float) -> float:
+        return adaptive(ell)[0]
+
+    f_one, rule = adaptive(1.0)
+    if rule is None:
+        return _norm(*_bracket_root(excess, 1.0, f_one, 1.0, tol))
+
+    nodes, weights = rule()
+    hv = np.abs(np.asarray(h(np.exp(nodes)), dtype=float))
+
+    def frozen(ell: float) -> float:
+        try:
+            with np.errstate(over="ignore"):
+                value = float(weights @ phi((1.0 / ell) * hv))
+        except OrliczOverflowError:
+            return math.inf
+        return value - 1.0 if math.isfinite(value) else math.inf
+
+    lo, hi = _bracket_root(frozen, 1.0, f_one, 1.0, tol)
+    if hi < math.inf:
+        f_hi = excess(hi)
+        if f_hi > 0:
+            return _norm(*_bracket_root(excess, hi, f_hi, tol, tol))
+    if lo > 0:
+        f_lo = excess(lo)
+        if f_lo <= 0:
+            return _norm(*_bracket_root(excess, lo, f_lo, tol, tol))
+    return _norm(lo, hi)
+
+
+def _norm(lo: float, hi: float) -> float:
+    """The norm bracketed by :func:`_bracket_root`'s ``(lo, hi)``."""
+    if hi == math.inf:
+        raise UnboundedNormError("Luxemburg bracket exceeded 2**64")
+    return 0.0 if lo == 0.0 else hi
+
+
+def _bracket_root(excess: Callable[[float], float], x: float, f_x: float, step: float,
+                  tol: float) -> tuple[float, float]:
+    """A bracket ``(lo, hi)`` of the root of the non-increasing ``excess``,
+    with ``excess(lo) > 0 >= excess(hi)`` and ``hi - lo <= tol``.
+
+    The search starts at ``x``, where the excess is ``f_x``, and widens
+    outward: up when ``f_x > 0``, else down, by ``step``, which doubles
+    after each move, a downward move going at most half way to 0 (from
+    ``x = step = 1`` these are the doublings and halvings of ``l``).  It
+    stops with ``hi = inf`` once the bracket would pass ``2**64``, and with
+    ``lo = 0`` once it would pass below ``2**-64`` (the excess is at most 0
+    at every ``l > 0``).  A straddling bracket is then closed by Illinois
+    regula falsi with two safeguards (Dowell & Jarratt, BIT 11, 1971): each
+    trial point lies at least ``tol/2`` inside the bracket, and when the
+    last three steps together failed to halve the bracket the next step
+    bisects, as does any step while the excess is infinite at the lower end.
+    """
+    if f_x > 0:
+        lo, f_lo = x, f_x
+        while True:
+            hi = lo + step
             if hi > 2.0**64:
-                raise UnboundedNormError("Luxemburg bracket exceeded 2**64")
+                return lo, math.inf
             f_hi = excess(hi)
+            if f_hi <= 0:
+                break
+            lo, f_lo, step = hi, f_hi, 2.0 * step
     else:
-        lo, f_lo = 0.5, excess(0.5)
-        while f_lo <= 0:
-            hi, f_hi = lo, f_lo
-            lo /= 2.0
+        hi, f_hi = x, f_x
+        while True:
+            lo = hi - min(step, 0.5 * hi)
             if lo < 2.0**-64:
-                # modular stays <= 1 for arbitrarily small scalings: norm is 0
-                return 0.0
+                return 0.0, hi
             f_lo = excess(lo)
+            if f_lo > 0:
+                break
+            hi, f_hi, step = lo, f_lo, 2.0 * step
 
     # f_lo > 0 >= f_hi from here on
     kept = 0  # +1 / -1 when hi / lo was kept by the last step
@@ -283,7 +362,7 @@ def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -
             if kept < 0:
                 f_lo *= 0.5
             kept = -1
-    return hi
+    return lo, hi
 
 
 @dataclass
@@ -352,7 +431,7 @@ def modular_convergence_series(
     the pieces' ends, where a maximum changes its maximising k or phi has a
     knot.  Phi without bounded support adds no cuts.  Nodes with a
     degenerate denominator count as error 0 and are counted in the per-n
-    report.
+    report.  The reports carry no quadrature rule (``rule`` is None).
     """
     n_list = [int(n) for n in n_list]
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])):
@@ -374,6 +453,7 @@ def modular_convergence_series(
                              breakpoints=breakpoints)
         report = modular(phi, err, cfg.a, cfg.b, lam, cfg.quad)
         report.skipped_nodes = skipped_count
+        report.rule = None  # a kept series would pin every integral's panels
         out.append(report)
     return out
 

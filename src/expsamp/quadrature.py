@@ -40,8 +40,8 @@ a cut reads its own segment's side of the jump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,11 +109,21 @@ class QuadratureSpec:
 class IntegralResult:
     """An accepted integral: ``value``, the acceptance target ``error_bound``
     (``abs_tol/4``) and ``error_estimate``, the summed panel estimate at
-    acceptance, at or below ``error_bound``."""
+    acceptance, at or below ``error_bound``.
+
+    ``rule()`` returns the rule the engine accepted, as arrays ``(nodes,
+    weights)`` with ``sum(weights * g(nodes))`` equal to ``value`` up to
+    rounding: the two Gauss halves of every final panel, each node clamped
+    to its segment's read range as ``g`` was read.  It is built only on
+    request, is None on a result not made by :func:`integrate_log`, and
+    takes no part in equality or repr.
+    """
 
     value: float
     error_bound: float
     error_estimate: float
+    rule: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, compare=False, repr=False)
 
 
 @lru_cache(maxsize=32)
@@ -157,7 +167,8 @@ def integrate_log(
     read strictly inside each segment between them (see the module
     docstring).  Returns the integral estimate, the acceptance target
     ``error_bound <= spec.abs_tol`` and the summed panel estimate
-    ``error_estimate <= error_bound`` it reached; the budget covers the
+    ``error_estimate <= error_bound`` it reached, and on request the
+    accepted rule (:attr:`IntegralResult.rule`); the budget covers the
     whole range, not each segment.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -206,8 +217,7 @@ def integrate_log(
         """
         mid = 0.5 * (a + b)
         pts = np.empty((a.size, 2 * m + xc.size))
-        pts[:, :m] = 0.5 * (a + mid)[:, None] + 0.5 * (mid - a)[:, None] * xg
-        pts[:, m:2 * m] = 0.5 * (mid + b)[:, None] + 0.5 * (b - mid)[:, None] * xg
+        _gauss_halves(a, b, xg, pts)
         pts[:, 2 * m:] = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xc
         V = read(pts, ulo, uhi)
         left = (V[:, :m] @ wg) * (0.5 * (mid - a))
@@ -292,8 +302,37 @@ def integrate_log(
             P = np.concatenate([P[~sweep], split(P[sweep], True)])
         estimate = float(P[:, _ERR].sum())
         if estimate <= target:
-            return IntegralResult(value=float(P[:, _FINE].sum()), error_bound=target,
-                                  error_estimate=estimate)
+            return IntegralResult(
+                value=float(P[:, _FINE].sum()), error_bound=target, error_estimate=estimate,
+                rule=partial(_accepted_rule, P[:, [_A, _B, _LO, _HI]], xg, wg))
+
+
+def _gauss_halves(a: np.ndarray, b: np.ndarray, xg: np.ndarray, out: np.ndarray) -> None:
+    """Write the Gauss nodes ``xg`` of the two halves of each panel
+    ``[a, b]``, left then right, to the first ``2 * xg.size`` columns of
+    ``out``, a row per panel."""
+    mid = 0.5 * (a + b)
+    m = xg.size
+    out[:, :m] = 0.5 * (a + mid)[:, None] + 0.5 * (mid - a)[:, None] * xg
+    out[:, m:2 * m] = 0.5 * (mid + b)[:, None] + 0.5 * (b - mid)[:, None] * xg
+
+
+def _accepted_rule(panels: np.ndarray, xg: np.ndarray,
+                   wg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the half-panel Gauss rules ``(xg, wg)`` of the
+    panels ``[a, b]`` read in ``[lo, hi]``, given as rows ``(a, b, lo,
+    hi)``, the nodes placed and clamped exactly as ``integrate_log`` read
+    them.  A result keeps only these four columns of the engine's panel
+    list, not the whole list."""
+    a, b, lo, hi = panels.T
+    mid = 0.5 * (a + b)
+    nodes = np.empty((a.size, 2 * xg.size))
+    _gauss_halves(a, b, xg, nodes)
+    np.maximum(nodes, lo[:, None], out=nodes)
+    np.minimum(nodes, hi[:, None], out=nodes)
+    weights = np.concatenate([0.5 * (mid - a)[:, None] * wg, 0.5 * (b - mid)[:, None] * wg],
+                             axis=1)
+    return nodes.ravel(), weights.ravel()
 
 
 def mellin_integrate(

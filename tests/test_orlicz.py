@@ -1,5 +1,5 @@
 import math
-import statistics
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -279,9 +279,8 @@ def test_luxemburg_brackets_closed_form(spec_text, modular_calls):
         want = _closed_form_norm(gauge, edges, values)
         assert ell - tol < want <= ell
         counts.append(len(modular_calls))
-    # bisection takes about 33 modulars a norm, regula falsi without the
-    # Illinois halving about 19
-    assert max(counts) <= 22 and statistics.median(counts) <= 15, counts
+    # one modular for the rule and two to confirm the frozen search's bracket
+    assert counts == [3] * len(counts), counts
 
 
 def test_luxemburg_bisects_when_regula_falsi_stalls(monkeypatch):
@@ -299,23 +298,98 @@ def test_luxemburg_bisects_when_regula_falsi_stalls(monkeypatch):
     assert len(calls) <= 2 + 4 * math.ceil(math.log2(0.5 / tol))
 
 
-def test_luxemburg_overflowing_lower_end_bisects(modular_calls):
+@pytest.fixture
+def root_searches(monkeypatch):
+    """The trial points of every ``orlicz._bracket_root`` search, each list
+    headed by the search's start point."""
+    searches = []
+    root = orlicz._bracket_root
+
+    def recorded(excess, x, f_x, *args):
+        trials = [x]
+        searches.append(trials)
+        return root(lambda ell: trials.append(ell) or excess(ell), x, f_x, *args)
+
+    monkeypatch.setattr(orlicz, "_bracket_root", recorded)
+    return searches
+
+
+def test_luxemburg_overflowing_lower_end_bisects(modular_calls, root_searches, monkeypatch):
     # exppower:1 cannot overflow at the lower bracket end: its zeta(v) is
     # about zeta(v/2)^2, so an overflow at l/2 means I[h/l] >= e^350 times
     # the measure of the overflowing set.  A steep exponential gauge can:
     # here the lower end l = 0.5 overflows while the upper end l = 1 has
-    # I[h] <= 1, so the first step bisects.
+    # I[h] <= 1, so the first step bisects, in the frozen search on the
+    # first modular's rule and, without a rule, on adaptive modulars.
     gauge = parse_phi_spec("exppower:20")
     edges, values = [1.0, 1.6, math.e], [0.76, 0.6]
     h = step_handle(edges, values, (1.6,))
     with pytest.raises(OrliczOverflowError):
         modular(gauge, h, 1.0, math.e, lam=2.0)
+    want = _closed_form_norm(gauge, edges, values)
+    tol = 1e-9
+    counted = orlicz.modular
+    for with_rule in (True, False):
+        if not with_rule:
+            monkeypatch.setattr(orlicz, "modular",
+                                lambda *args, **kw: replace(counted(*args, **kw), rule=None))
+        modular_calls.clear()
+        root_searches.clear()
+        ell = luxemburg_norm(gauge, h, 1.0, math.e, tol=tol)
+        assert len(root_searches) == 1
+        assert root_searches[0][:3] == pytest.approx([1.0, 0.5, 0.75], rel=1e-15)
+        # a trial is recorded as 1 / lam, which can differ from l by an ulp
+        trials = [1.0 / lam for lam in modular_calls]
+        if with_rule:
+            # the rule's modular at l = 1, then the two ends of the bracket
+            assert len(trials) == 3 and trials[0] == 1.0
+            assert trials[1] == pytest.approx(ell, rel=1e-15)
+            assert 0 < trials[1] - trials[2] <= tol * (1 + 1e-6)
+        else:
+            assert trials == pytest.approx(root_searches[0], rel=1e-15)
+        assert ell - tol < want <= ell
+        assert len(modular_calls) <= 22
+
+
+@pytest.mark.parametrize("skew", [1 + 1e-6, 1 - 1e-6])
+@pytest.mark.parametrize("spec_text", GAUGES)
+def test_luxemburg_continues_past_a_wrong_proposal(skew, spec_text, modular_calls, monkeypatch):
+    # rule weights off by a relative 1e-6 move the frozen root by about a
+    # thousand tol, so one end of the proposed bracket fails its adaptive
+    # check and the search widens outward from there on adaptive modulars
+    counted = orlicz.modular
+
+    def skewed(*args, **kw):
+        report = counted(*args, **kw)
+        rule = report.rule
+        return replace(report, rule=lambda: (rule()[0], skew * rule()[1]))
+
+    monkeypatch.setattr(orlicz, "modular", skewed)
+    gauge = parse_phi_spec(spec_text)
+    edges, values = [1.0, 1.6, math.e], [0.76, 1.6]
+    h = step_handle(edges, values, (1.6,))
     tol = 1e-9
     ell = luxemburg_norm(gauge, h, 1.0, math.e, tol=tol)
-    assert [1.0 / lam for lam in modular_calls[:3]] == pytest.approx([1.0, 0.5, 0.75], rel=1e-15)
     want = _closed_form_norm(gauge, edges, values)
     assert ell - tol < want <= ell
-    assert len(modular_calls) <= 22
+    assert 3 < len(modular_calls) <= 22
+    # the last two adaptive modulars are the ends of the returned bracket
+    # (recorded as 1 / lam, which can differ from l by an ulp)
+    lo, hi = sorted(1.0 / lam for lam in modular_calls[-2:])
+    assert hi == pytest.approx(ell, rel=1e-15) and 0 < hi - lo <= tol * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("a, b, tol, match", [
+    pytest.param(0.0, math.e, 1e-9, "need 0 < a < b", id="a-zero"),
+    pytest.param(1.0, math.inf, 1e-9, "need 0 < a < b", id="b-inf"),
+    pytest.param(1.0, math.e, math.inf, "tol must be a positive finite number", id="tol-inf"),
+])
+def test_luxemburg_rejects_bad_arguments(a, b, tol, match):
+    # checked before the probe grid reads h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            luxemburg_norm(parse_phi_spec("power:2"), _const(2.0), a, b, tol=tol)
 
 
 def test_delta2_power_exact():
@@ -495,6 +569,10 @@ def test_modular_report_states_its_error(b3, fejer):
     for rep in reports:
         assert rep.error_bound == spec.abs_tol / 4
         assert 0.0 <= rep.error_estimate <= rep.error_bound
+    # a modular keeps its quadrature rule; the series drops it, so a kept
+    # series pins none of its integrals' panels
+    assert all(rep.rule is not None for rep in reports[:4])
+    assert all(rep.rule is None for rep in reports[4:])
 
 
 def test_modular_series_overflow_names_lambda(b2):

@@ -328,6 +328,40 @@ def test_constant_pieces_cost_one_start_panel_each(cuts, nodes, monkeypatch):
     _check_segment_reads(reads, h.breakpoints)
 
 
+@pytest.mark.parametrize("g, cuts, exact, refined", [
+    pytest.param(lambda u: np.cos(3.0 * u) + u * u, (),
+                 math.sin(3.0) / 3.0 + 1.0 / 3.0, False, id="uncut"),
+    pytest.param(lambda u: np.floor(4.0 * u) % 2.0 + np.cos(u), (0.25, 0.5, 0.75),
+                 0.5 + math.sin(1.0), False, id="cut"),
+    pytest.param(lambda u: np.cos(40.0 * u) + (u > 0.7), (),
+                 math.sin(40.0) / 40.0 + 0.3, True, id="undeclared-jump"),
+])
+def test_accepted_rule_reproduces_value(g, cuts, exact, refined):
+    reads = []
+
+    def recorded(u):
+        reads.append(u.copy())
+        return g(u)
+
+    res = integrate_log(recorded, 0.0, 1.0, QuadratureSpec(abs_tol=1e-10), cuts=cuts)
+    assert res.value == pytest.approx(exact, rel=0, abs=1e-10)
+    nodes, weights = res.rule()
+    assert math.fsum(weights * g(nodes)) == pytest.approx(res.value, rel=1e-14, abs=1e-15)
+    assert math.fsum(weights) == pytest.approx(1.0, rel=1e-14)
+    # the rule's nodes are nodes the engine read, two Gauss halves a panel
+    assert np.isin(nodes, np.concatenate(reads)).all()
+    rows = nodes.reshape(-1, 2 * quadrature._PANEL_NODES)
+    # beyond the coarse rule, the start panels and one sweep, rounds of
+    # splits localised the jump
+    assert (len(reads) > 3) == refined
+    assert ((rows >= 0.0) & (rows <= 1.0)).all()
+    assert not np.isin(nodes, cuts).any()
+    segment = np.searchsorted(cuts, rows)
+    assert (segment == segment[:, :1]).all()
+    # built on request only, outside equality and repr
+    assert res == replace(res, rule=None) and "rule" not in repr(res)
+
+
 def _random_piecewise_poly(rng, a, b):
     cuts = np.sort(rng.uniform(math.log(a), math.log(b), 2))
     coef = rng.uniform(-1.0, 1.0, (3, 3))
