@@ -101,6 +101,17 @@ def _h1_raw(w):
     return float(out) if out.ndim == 0 else out
 
 
+# h2's knots, and its branch on each piece in g = 1 + 5x/3
+_H2_KNOTS = np.array([0.6, 1.2, 1.8, 2.4])
+_H2_PIECES = (
+    lambda g: g**3 / 8.0,
+    lambda g: 3.0 - g,
+    lambda g: 0.4,
+    lambda g: 0.8,
+    lambda g: ((g - 6.0) ** 3 + 1.0) / 3.0,
+)
+
+
 def _h2_raw(w):
     arr = np.asarray(w, dtype=float)
     scalar = arr.ndim == 0
@@ -110,11 +121,12 @@ def _h2_raw(w):
         raise FunctionDomainError(f"h2 is defined on [0, 3], got {bad!r}")
     x = np.clip(arr, 0.0, 3.0)
     g = 1.0 + (5.0 / 3.0) * x
-    out = np.select(
-        [x < 0.6, x < 1.2, x < 1.8, x < 2.4],
-        [g**3 / 8.0, 3.0 - g, 0.4, 0.8],
-        default=((g - 6.0) ** 3 + 1.0) / 3.0,
-    )
+    # each point reads only its own branch; NaN sorts past the last knot
+    branch = np.searchsorted(_H2_KNOTS, x, side="right")
+    out = np.empty_like(g)
+    for i, piece in enumerate(_H2_PIECES):
+        at = branch == i
+        out[at] = piece(g[at])
     return float(out[0]) if scalar else out
 
 

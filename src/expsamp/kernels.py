@@ -124,7 +124,10 @@ class KernelDescriptor:
         elif self.family == "fejer":
             beta, t = self.params
             s = np.sinc(beta * arr / (2.0 * math.pi))
-            vals = (beta / (2.0 * math.pi)) * np.exp(-t * arr) * s * s
+            vals = beta / (2.0 * math.pi)
+            if t != 0:  # at t = 0 the factor is exactly 1, so it is skipped
+                vals = vals * np.exp(-t * arr)
+            vals = vals * s * s
         elif self.family == "jackson":
             gamma, beta = self.params
             s = np.sinc(arr / (2.0 * gamma * beta * math.pi))

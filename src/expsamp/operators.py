@@ -25,7 +25,10 @@ the knots of every B-spline psi, serves all k with shared psi values
 piecewise-polynomial h with declared breakpoints and converges fast for the
 analytic sinc-type kernels.  It is run on the lattice and on halved panels;
 when the two disagree by more than abs_tol/(2n) the fill falls back to the
-per-k adaptive :func:`~expsamp.quadrature.durrmeyer_coefficient`.
+per-k adaptive :func:`~expsamp.quadrature.durrmeyer_coefficient`.  The psi
+values of the full lattice cells depend on neither h nor k, so one fill
+serves C_k(1) and C_k(h) together when both are missing, as on a config's
+first evaluation, and builds that table once for both.
 
 A phi of bounded log support [slo, shi] is nonzero on at most
 ceil(shi - slo) + 1 of the Phi_k(w), so point and grid evaluations read phi
@@ -179,24 +182,13 @@ def _first_max(terms: np.ndarray, top: np.ndarray) -> np.ndarray:
     return m - (np.equal(terms, top) * rank).max(axis=0)
 
 
-def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, h, q: int) -> np.ndarray:
-    """C_k(h) for every k in ``ks`` from one composite Gauss-Legendre rule.
-
-    The panels are the cells of the lattice of step 1/(q n) in u = log v,
-    clipped to [log a, log b] and cut at h's declared breakpoints.  On a full
-    cell j, node i sits at u = (j + t_i)/(q n), where psi(e^{-k} v^n) reads
-    ``T_i[j - q k] = psi.eval_log((j - q k + t_i)/q)``: one column T_i serves
-    every k, and each coefficient is a sum over i of correlations of T_i with
-    the weighted h values, strided by q.  The other pieces, at the two ends
-    and in the cells cut by breakpoints, are summed directly.  ``h`` is read
-    once, at Gauss nodes only, so never on a panel edge.
-    """
-    n, psi = cfg.n, cfg.psi
-    x, wg = _leggauss(_LATTICE_NODES)
-    t, wt = 0.5 * (1.0 + x), 0.5 * wg
-    step = 1.0 / (q * n)
-    # interval ends, breakpoints and panel edges in lattice units s = u / step
-    lo, hi = math.log(cfg.a) / step, math.log(cfg.b) / step
+def _handle_panels(h, lo: float, hi: float, step: float, t: np.ndarray, wt: np.ndarray):
+    """One handle's share of a lattice rule in lattice units s = u / step:
+    ``V[i, j - j0]``, weighted h at node i of full cell j (zero on cut cells),
+    a row per node so every correlation reads a contiguous row, and the
+    nodes ``u_irr`` and weighted values ``W`` of the other pieces.  ``h`` is
+    read once, full cells first; its node and value arrays are freed here, so
+    a joint fill holds only each handle's V, W and ``u_irr`` in its psi loop."""
     one = _is_one(h)
     bps = () if one else getattr(h, "breakpoints", ()) or ()
     cuts = [s for s in (math.log(bp) / step for bp in bps) if lo < s < hi]
@@ -207,35 +199,71 @@ def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, h, q: int) -> np.ndarray:
     # between any other two edges that far apart
     is_full = width == 1.0
     full, p0, width = p0[is_full].astype(int), p0[~is_full], width[~is_full]
-
-    # one read of h over every node of the rule, full cells first
-    u_full = (full[:, None] + t[None, :]) * step
     u_irr = (p0[:, None] + width[:, None] * t[None, :]) * step
-    u = np.concatenate([u_full.ravel(), u_irr.ravel()])
-    hv = np.ones(u.size) if one else _finite(np.broadcast_to(h(np.exp(u)), u.shape))
-    hv_full = hv[:u_full.size].reshape(u_full.shape)
-    hv_irr = hv[u_full.size:].reshape(u_irr.shape)
+    V = np.zeros((t.size, max(j1 - j0, 0)))
+    W = width[:, None] * step * wt[None, :]
+    if one:
+        V[:, full - j0] = (step * wt)[:, None]
+    else:
+        u_full = (full[:, None] + t[None, :]) * step
+        u = np.concatenate([u_full.ravel(), u_irr.ravel()])
+        del u_full
+        hv = _finite(np.broadcast_to(h(np.exp(u)), u.shape))
+        del u
+        V[:, full - j0] = hv[:full.size * t.size].reshape(full.size, t.size).T
+        V *= (step * wt)[:, None]
+        W *= hv[full.size * t.size:].reshape(W.shape)
+    return full.size > 0, V, u_irr, W
 
-    # V[j - j0, i]: weighted h on full cell j, zero on the cut cells
-    V = np.zeros((max(j1 - j0, 0), t.size))
-    V[full - j0] = step * wt[None, :] * hv_full
-    W = (width[:, None] * step * wt[None, :]) * hv_irr
+
+def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, hs, q: int) -> list[np.ndarray]:
+    """C_k(h) for every k in ``ks`` and every handle h in ``hs`` from one
+    composite Gauss-Legendre rule per handle.
+
+    The panels are the cells of the lattice of step 1/(q n) in u = log v,
+    clipped to [log a, log b] and cut at h's declared breakpoints.  On a full
+    cell j, node i sits at u = (j + t_i)/(q n), where psi(e^{-k} v^n) reads
+    ``T_i[j - q k] = psi.eval_log((j - q k + t_i)/q)``: one sequence T_i serves
+    every k and every handle, and each coefficient is a sum over i of
+    correlations of T_i with the weighted h values, strided by q.  The table
+    is built once per block of nodes for all handles; each handle keeps its
+    own pieces at the two ends and in the cells cut by its breakpoints, which
+    are summed directly, and its own order of summation, so a vector does not
+    depend on the other handles of the call.  ``h`` is read once, at Gauss
+    nodes only, so never on a panel edge.
+    """
+    n, psi = cfg.n, cfg.psi
+    x, wg = _leggauss(_LATTICE_NODES)
+    t, wt = 0.5 * (1.0 + x), 0.5 * wg
+    step = 1.0 / (q * n)
+    # interval ends in lattice units s = u / step
+    lo, hi = math.log(cfg.a) / step, math.log(cfg.b) / step
+    j0, j1 = math.ceil(lo), math.floor(hi)
     kmin, kmax = int(ks[0]), int(ks[-1])
     d = np.arange(j0 - q * kmax, j1 - q * kmin)
-    acc = np.zeros(ks.size)
-    # psi is read a few nodes at a time, about _PSI_BLOCK values per call
-    per = max(1, _PSI_BLOCK // max(d.size, ks.size * p0.size, 1))
-    for c in range(0, t.size, per):
-        nodes = slice(c, c + per)
-        if full.size:
-            T = _finite(psi.eval_log((d[:, None] + t[None, nodes]) / q))
-            for T_i, V_i in zip(T.T, V[:, nodes].T):
-                # correlate(T_i, V_i)[q (kmax - k)] = sum_j T_i[j - q k - d[0]] V_i[j - j0]
-                acc += np.correlate(T_i, V_i, "valid")[::q][::-1]
-        if p0.size:
-            P = _finite(psi.eval_log(n * u_irr[None, :, nodes] - ks[:, None, None]))
-            acc += P.reshape(ks.size, -1) @ W[:, nodes].ravel()
-    return n * acc
+    rules = [_handle_panels(h, lo, hi, step, t, wt) for h in hs]
+    accs = [np.zeros(ks.size) for _ in rules]
+    # psi is read a few nodes at a time, about _PSI_BLOCK values per call;
+    # a handle's cut-cell block ends where its own block size says, as in a
+    # call for that handle alone
+    pers = [max(1, _PSI_BLOCK // max(d.size, ks.size * u_irr.shape[0], 1))
+            for _, _, u_irr, _ in rules]
+    per_t = max(1, _PSI_BLOCK // max(d.size, 1))
+    tabled = any(has_full for has_full, _, _, _ in rules)
+    for c in range(0, t.size, per_t):
+        stop = min(c + per_t, t.size)
+        if tabled:
+            T = _finite(psi.eval_log((t[c:stop, None] + d[None, :]) / q))
+        for (has_full, V, u_irr, W), acc, per in zip(rules, accs, pers):
+            for i in range(c, stop):
+                if has_full:
+                    # correlate(T_i, V_i)[q (kmax - k)] = sum_j T_i[j - q k - d[0]] V_i[j - j0]
+                    acc += np.correlate(T[i - c], V[i], "valid")[::q][::-1]
+                if u_irr.shape[0] and ((i + 1) % per == 0 or i + 1 == t.size):
+                    block = slice(i - i % per, i + 1)
+                    P = _finite(psi.eval_log(n * u_irr[None, :, block] - ks[:, None, None]))
+                    acc += P.reshape(ks.size, -1) @ W[:, block].ravel()
+    return [n * acc for acc in accs]
 
 
 @lru_cache(maxsize=8)
@@ -307,47 +335,56 @@ class DurrmeyerEvaluator:
         self._range_flags: dict[object, str | None] = {}
         self.engines: dict[object, str] = {}
 
-    def coefficients(self, h) -> np.ndarray:
+    def coefficients(self, h, *more):
         """C_k(h) for every k in the index set; memoized per handle.
 
-        A miss runs :func:`_lattice_rule` on the lattice of step 1/(2n) and on
-        halved panels and keeps the finer vector when the two differ by at
-        most abs_tol/(2n) everywhere.  Otherwise every coefficient is
-        recomputed by the per-k adaptive ``durrmeyer_coefficient`` and the
-        reason is logged at INFO on the ``expsamp`` logger.  A handle whose
+        One handle gives one vector; ``coefficients("one", h)`` gives the
+        tuple of both, in order.  The handles not yet cached are filled
+        together: :func:`_lattice_rule` runs once on the lattice of step
+        1/(2n) and once on halved panels, each pass building the psi table
+        once for all of them.  Each handle keeps its finer vector when its
+        two differ by at most abs_tol/(2n) everywhere; otherwise that
+        handle's coefficients are recomputed by the per-k adaptive
+        ``durrmeyer_coefficient`` and the reason is logged at INFO on the
+        ``expsamp`` logger, while the others stay batched.  Every vector is
+        the one a call for its handle alone gives.  A handle whose
         ``domain`` does not cover [a, b] is rejected with ``ValueError``
-        before it is read.
+        before any handle is read.
         """
-        key = "one" if _is_one(h) else h
-        cached = self._coeffs.get(key)
-        if cached is None:
-            cfg = self.cfg
-            domain = None if key == "one" else getattr(h, "domain", None)
+        keys = ["one" if _is_one(g) else g for g in (h, *more)]
+        missing = [k for k in dict.fromkeys(keys) if k not in self._coeffs]
+        cfg = self.cfg
+        for key in missing:
+            domain = None if key == "one" else getattr(key, "domain", None)
             if domain is not None and not (
                     domain[0] - _EDGE_GRACE <= cfg.a and cfg.b <= domain[1] + _EDGE_GRACE):
                 raise ValueError(
-                    f"{getattr(h, 'name', 'handle')} is defined on [{domain[0]:g}, "
+                    f"{getattr(key, 'name', 'handle')} is defined on [{domain[0]:g}, "
                     f"{domain[1]:g}], which does not cover [{cfg.a:g}, {cfg.b:g}]")
-            coarse = _lattice_rule(cfg, self.ks, h, 2)
-            cached = _lattice_rule(cfg, self.ks, h, 4)
-            delta = float(np.max(np.abs(cached - coarse)))
+        if missing:
+            coarse = _lattice_rule(cfg, self.ks, missing, 2)
+            fine = _lattice_rule(cfg, self.ks, missing, 4)
             limit = cfg.quad.abs_tol / (2 * cfg.n)
-            engine = "batched"
-            if not delta <= limit:
-                engine = f"adaptive: halved-panel difference {delta:.3g} > {limit:.3g}"
-                # imported here: a run without fallbacks never loads logging
-                import logging
+            for key, c2, c4 in zip(missing, coarse, fine):
+                delta = float(np.max(np.abs(c4 - c2)))
+                engine = "batched"
+                if not delta <= limit:
+                    engine = f"adaptive: halved-panel difference {delta:.3g} > {limit:.3g}"
+                    # imported here: a run without fallbacks never loads logging
+                    import logging
 
-                logging.getLogger("expsamp").info(
-                    "coefficients of %s for psi=%s, n=%d on [%g, %g]: %s",
-                    getattr(h, "name", h), cfg.psi.name, cfg.n, cfg.a, cfg.b, engine)
-                cached = np.array([
-                    durrmeyer_coefficient(cfg.psi, int(k), cfg.n, cfg.a, cfg.b, h, cfg.quad)
-                    for k in self.ks
-                ])
-            self.engines[key] = engine
-            self._coeffs[key] = cached
-        return cached
+                    logging.getLogger("expsamp").info(
+                        "coefficients of %s for psi=%s, n=%d on [%g, %g]: %s",
+                        getattr(key, "name", key), cfg.psi.name, cfg.n, cfg.a, cfg.b, engine)
+                    c4 = np.array([
+                        durrmeyer_coefficient(cfg.psi, int(k), cfg.n, cfg.a, cfg.b, key, cfg.quad)
+                        for k in self.ks
+                    ])
+                self.engines[key] = engine
+                self._coeffs[key] = c4
+        if not more:
+            return self._coeffs[keys[0]]
+        return tuple(self._coeffs[k] for k in keys)
 
     def range_warning(self, h) -> str | None:
         """The max-min warning for ``h`` leaving [0, 1], or None; memoized, from
@@ -403,7 +440,7 @@ class DurrmeyerEvaluator:
         the m rows, and the smallest maximising index comes from a second one
         (:func:`_first_max`).  The max-min value is the term at that index.
         """
-        c_one, c_h = self.coefficients("one"), self.coefficients(h)
+        c_one, c_h = self.coefficients("one", h)
         phi, size = self.cfg.phi, self.ks.size
         support = phi.log_support
         m = size if support is None else min(size, math.ceil(support[1] - support[0]) + 1)
@@ -474,7 +511,7 @@ class DurrmeyerEvaluator:
         k = M[:, None] - np.arange(r)
         inside = (k >= self.ks[0]) & (k <= self.ks[-1])
         at = np.clip(k - int(self.ks[0]), 0, self.ks.size - 1)
-        c1, ch = self.coefficients("one")[at], self.coefficients(h)[at]
+        c1, ch = (c[at] for c in self.coefficients("one", h))
 
         # candidate polynomials, a row per (cell, pair), and their roots
         J, I = np.triu_indices(r, 1)

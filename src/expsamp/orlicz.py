@@ -305,7 +305,8 @@ def _norm(lo: float, hi: float) -> float:
 def _bracket_root(excess: Callable[[float], float], x: float, f_x: float, step: float,
                   tol: float) -> tuple[float, float]:
     """A bracket ``(lo, hi)`` of the root of the non-increasing ``excess``,
-    with ``excess(lo) > 0 >= excess(hi)`` and ``hi - lo <= tol``.
+    with ``excess(lo) > 0 >= excess(hi)`` and ``hi - lo <= tol``, or ``lo``
+    and ``hi`` adjacent floats where ``tol`` is below their spacing.
 
     The search starts at ``x``, where the excess is ``f_x``, and widens
     outward: up when ``f_x > 0``, else down, by ``step``, which doubles
@@ -343,7 +344,9 @@ def _bracket_root(excess: Callable[[float], float], x: float, f_x: float, step: 
     # f_lo > 0 >= f_hi from here on
     kept = 0  # +1 / -1 when hi / lo was kept by the last step
     widths = deque([math.inf] * 3, maxlen=3)  # before each of the last 3 steps
-    while hi - lo > tol:
+    # below the float spacing at the root the width cannot reach tol; the
+    # search then ends when no float lies strictly between lo and hi
+    while hi - lo > tol and math.nextafter(lo, hi) < hi:
         width = hi - lo
         if math.isinf(f_lo) or width > 0.5 * widths[0]:
             x = 0.5 * (lo + hi)

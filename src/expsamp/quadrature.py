@@ -128,8 +128,63 @@ class IntegralResult:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of
+    ``np.polynomial.legendre.leggauss(n)`` (the same steps in the same
+    order), without importing ``numpy.polynomial``: the eigenvalues of the
+    symmetric companion matrix of L_n, one Newton step, weights from
+    L_{n-1} and L_n', symmetrized and scaled to sum to 2."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    if n == 1:
+        m = np.array([[-c[0] / c[1]]])
+    else:
+        m = np.zeros((n, n))
+        scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+        top = m.reshape(-1)[1::n + 1]
+        top[...] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+        m.reshape(-1)[n::n + 1] = top
+    x = np.linalg.eigvalsh(m)
+    dy = _legval(x, c)
+    df = _legval(x, _legder(c))
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     return x, w
+
+
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series sum_i c[i] P_i(x), by Clenshaw's recurrence."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0.0
+    else:
+        nd, c0, c1 = len(c), c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            tmp = c0
+            nd = nd - 1
+            c0 = c[-i] - c1 * ((nd - 1) / nd)
+            c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _legder(c: np.ndarray) -> np.ndarray:
+    """The Legendre coefficients of the derivative of the series ``c``."""
+    c = c.copy()
+    n = len(c) - 1
+    der = np.empty(n)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * c[j]
+        c[j - 2] += c[j]
+    if n > 1:
+        der[1] = 3 * c[2]
+    der[0] = c[1]
+    return der
 
 
 @lru_cache(maxsize=32)

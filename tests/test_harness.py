@@ -75,6 +75,39 @@ def test_h2_domain_error():
     assert get_test_function("h2")(3.0 + 1e-12) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
+def _h2_select(w):
+    """h2 by the np.select formula it was first written with: every branch
+    at every point."""
+    arr = np.atleast_1d(np.asarray(w, dtype=float))
+    x = np.clip(arr, 0.0, 3.0)
+    g = 1.0 + (5.0 / 3.0) * x
+    return np.select(
+        [x < 0.6, x < 1.2, x < 1.8, x < 2.4],
+        [g**3 / 8.0, 3.0 - g, 0.4, 0.8],
+        default=((g - 6.0) ** 3 + 1.0) / 3.0,
+    )
+
+
+def test_h2_by_branch_equals_select_formula():
+    h2 = get_test_function("h2")
+    knots = np.array([0.6, 1.2, 1.8, 2.4])
+    near = np.concatenate([np.nextafter(knots, -np.inf), knots, np.nextafter(knots, np.inf)])
+    ends = np.array([0.0, 3.0, 5e-324, np.nextafter(3.0, 0.0)])
+    grace = np.array([-1e-9, -5e-10, -0.0, 3.0 + 5e-10, 3.0 + 1e-9])
+    grid = np.concatenate([np.linspace(0.0, 3.0, 30_001), near, ends, grace,
+                           np.random.default_rng(0).uniform(0.0, 3.0, 5_000)])
+    got, want = h2(grid), _h2_select(grid)
+    assert got.tobytes() == want.tobytes()
+    assert h2(grid.reshape(2, -1)).tobytes() == want.tobytes()
+    for w in (0.0, 0.3, 0.6, 1.2, 1.5, 2.4, 2.9, 3.0, 3.0 + 1e-9, -1e-9):
+        value = h2(w)
+        assert isinstance(value, float)
+        assert np.float64(value).tobytes() == _h2_select(w)[0].tobytes()
+    for bad in (-2e-9, 3.0 + 2e-9, np.array([1.0, 3.5])):
+        with pytest.raises(FunctionDomainError):
+            h2(bad)
+
+
 def test_h1_value():
     z = 0.8 * math.cos(2 * math.pi)
     t = math.log1p(math.exp(z))

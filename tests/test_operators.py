@@ -517,7 +517,7 @@ def test_batched_without_full_panels(b3):
                                   quad=QuadratureSpec())
     ks = np.array([-1.0, 0.0, 1.0])
     for q in (2, 4):
-        np.testing.assert_allclose(operators._lattice_rule(short, ks, handle, q),
+        np.testing.assert_allclose(operators._lattice_rule(short, ks, [handle], q)[0],
                                    _exact_bspline_coefficients(short, ks, handle),
                                    rtol=0, atol=1e-12)
 
@@ -567,6 +567,59 @@ def test_undeclared_jump_falls_back(jackson, h2, caplog):
     ref = [operators.durrmeyer_coefficient(jackson, int(k), cfg.n, cfg.a, cfg.b, h2, cfg.quad)
            for k in ev.ks[sub]]
     np.testing.assert_allclose(got[sub], ref, rtol=0, atol=cfg.quad.abs_tol)
+
+
+def test_joint_fill_with_a_fallback_keeps_the_other_batched(jackson, h2):
+    # the undeclared jump of test_undeclared_jump_falls_back, filled next to "one"
+    blind = FunctionHandle(name="h2-undeclared", domain=h2.domain, evaluator=h2.evaluator)
+    cfg = OperatorConfig(phi=jackson, psi=jackson, n=17, a=0.1, b=3.0,
+                         quad=QuadratureSpec(abs_tol=1e-9))
+    ev = DurrmeyerEvaluator(cfg)
+    c_one, c_blind = ev.coefficients("one", blind)
+    assert ev.engines == {"one": "batched", blind: ev.engines[blind]}
+    assert ev.engines[blind].startswith("adaptive: halved-panel difference")
+    alone = DurrmeyerEvaluator(cfg)
+    assert np.array_equal(c_one, alone.coefficients("one"))
+    assert np.array_equal(c_blind, alone.coefficients(blind))
+
+
+@pytest.mark.parametrize("n", [17, 53])
+@pytest.mark.parametrize("psi_spec", ["jackson:1.05:1", "fejer:pi:0"])
+def test_joint_fill_equals_separate_fills(psi_spec, n, h1, h2, monkeypatch):
+    cfg = OperatorConfig(phi=bspline_kernel(3), psi=parse_kernel_spec(psi_spec), n=n,
+                         a=0.1, b=3.0, quad=QuadratureSpec(abs_tol=1e-9))
+    points = []
+    eval_log = KernelDescriptor.eval_log
+    monkeypatch.setattr(KernelDescriptor, "eval_log",
+                        lambda self, x: points.append(np.size(x)) or eval_log(self, x))
+    for h in (h1, h2):
+        points.clear()
+        alone = DurrmeyerEvaluator(cfg)
+        want = alone.coefficients("one"), alone.coefficients(h)
+        separate = sum(points)
+        points.clear()
+        ev = DurrmeyerEvaluator(cfg)
+        got = ev.coefficients("one", h)
+        assert isinstance(got, tuple) and len(got) == 2
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert ev.engines == {"one": "batched", h: "batched"}
+        # the psi table of the full cells is built once for both handles
+        assert sum(points) < separate
+        # a cached pair is answered without a fill, in the order asked
+        points.clear()
+        again = ev.coefficients(h, "one", h)
+        assert points == [] and again[0] is got[1] and again[1] is got[0]
+
+
+def test_joint_fill_checks_every_domain_before_reading(b3):
+    reads = []
+    narrow = FunctionHandle(name="narrow", domain=(0.5, 2.0), evaluator=lambda w: reads.append(1) or w)
+    wide = FunctionHandle(name="wide", domain=(0.0, 9.0), evaluator=lambda w: reads.append(1) or w)
+    ev = DurrmeyerEvaluator(OperatorConfig(phi=b3, psi=b3, n=5, a=0.25, b=3.0))
+    with pytest.raises(ValueError, match="does not cover"):
+        ev.coefficients(wide, narrow)
+    assert reads == [] and ev.engines == {}
 
 
 def test_nan_from_h_raises(b3, monkeypatch):

@@ -298,6 +298,27 @@ def test_luxemburg_bisects_when_regula_falsi_stalls(monkeypatch):
     assert len(calls) <= 2 + 4 * math.ceil(math.log2(0.5 / tol))
 
 
+def test_bracket_root_ends_below_the_float_spacing():
+    # near 1e8 the float spacing is 1.5e-8, above tol = 1e-9, so the width
+    # can never reach tol; the search must stop at adjacent floats
+    root, calls = 1e8 + 0.37, []
+
+    def excess(ell):
+        calls.append(ell)
+        assert len(calls) <= 200, "more than 200 evaluations"
+        return (root / ell) ** 2 - 1.0
+
+    lo, hi = orlicz._bracket_root(excess, 1.0, excess(1.0), 1.0, 1e-9)
+    assert excess(lo) > 0 >= excess(hi)
+    assert hi == math.nextafter(lo, math.inf)
+    assert lo < root <= hi + 1e-8
+
+
+def test_luxemburg_norm_of_a_constant_far_above_one():
+    h = FunctionHandle(name="c1e8", domain=(0.0, 9.0), evaluator=_const(1e8))
+    assert luxemburg_norm(parse_phi_spec("power:2"), h, 1.0, math.e) == 1e8
+
+
 @pytest.fixture
 def root_searches(monkeypatch):
     """The trial points of every ``orlicz._bracket_root`` search, each list

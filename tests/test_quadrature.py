@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expsamp
 from expsamp import (
     FunctionHandle,
     QuadratureConvergenceError,
@@ -39,6 +44,33 @@ def test_bspline_mass_vs_trapezoid_oracle(b2, quad):
     oracle = float(np.trapezoid(1.0 - np.abs(x), x))
     assert val == pytest.approx(1.0, abs=1e-8)
     assert val == pytest.approx(oracle, abs=1e-8)
+
+
+def test_leggauss_matches_numpy_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    for n in range(1, 65):
+        x, w = quadrature._leggauss(n)
+        want_x, want_w = leggauss(n)
+        assert x.tobytes() == want_x.tobytes(), n
+        assert w.tobytes() == want_w.tobytes(), n
+
+
+def test_luxemburg_norm_does_not_import_numpy_polynomial():
+    script = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "import expsamp\n"
+        "h = expsamp.FunctionHandle(name='c', domain=(0.0, 9.0),\n"
+        "                           evaluator=lambda w: np.full(np.shape(w), 2.0))\n"
+        "norm = expsamp.luxemburg_norm(expsamp.parse_phi_spec('power:2'), h, 1.0, math.e)\n"
+        "assert abs(norm - 2.0) <= 1e-9, norm\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    src = str(Path(expsamp.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_invalid_bounds(quad):
