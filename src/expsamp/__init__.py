@@ -47,7 +47,6 @@ from .orlicz import (
     delta2_probe,
     modular_convergence_series,
     jensen_max_checks,
-    modular_domination_ratio,
 )
 from .harness import (
     FunctionHandle,
@@ -60,7 +59,6 @@ from .harness import (
     DEFAULT_INTERVAL,
     make_h1,
     make_h2,
-    rescaled_to_unit,
     get_test_function,
     build_error_table,
     convergence_sweep,

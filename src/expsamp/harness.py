@@ -38,7 +38,6 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "make_h1",
     "make_h2",
-    "rescaled_to_unit",
     "get_test_function",
     "build_error_table",
     "convergence_sweep",
@@ -141,32 +140,6 @@ def make_h2() -> FunctionHandle:
         name="h2", domain=(0.0, 3.0), evaluator=_h2_raw,
         declared_range=(0.0, 1.0), breakpoints=(0.6, 1.2, 1.8, 2.4),
     )
-
-
-def rescaled_to_unit(handle: FunctionHandle, a: float, b: float,
-                     grid_density: int = 1024) -> tuple[FunctionHandle, tuple[float, float]]:
-    """Affinely rescale a handle into [0, 1] over [a, b].
-
-    The max-min operator's guarantees assume values in [0, 1]; this helper
-    maps an arbitrary bounded handle there using its min/max over a probe
-    grid, returning the rescaled handle and the (lo, hi) used, so results can
-    be mapped back.  Constant handles map to the constant 0.
-    """
-    probe = np.exp(np.linspace(math.log(a), math.log(b), grid_density))
-    vals = np.asarray(handle(probe), dtype=float)
-    lo, hi = float(vals.min()), float(vals.max())
-    span = hi - lo
-
-    def evaluate(w):
-        out = (np.asarray(handle(w), dtype=float) - lo) / span if span > 0 else \
-            np.zeros_like(np.asarray(w, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
-
-    scaled = FunctionHandle(
-        name=f"{handle.name}~unit", domain=handle.domain, evaluator=evaluate,
-        declared_range=(0.0, 1.0), breakpoints=handle.breakpoints,
-    )
-    return scaled, (lo, hi)
 
 
 _TEST_FUNCTIONS = {"h1": make_h1, "h2": make_h2}

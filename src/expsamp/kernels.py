@@ -381,3 +381,41 @@ def compute_metrics(kernel: KernelDescriptor, grid_density: int = 10_000) -> Ker
     l1 = kernel_line_mass(kernel)
     return KernelMetrics(K=K, theta=theta, discrete_moment=discrete,
                          continuous_moment=continuous, l1_norm=l1)
+
+
+def _real_roots(coef: np.ndarray, t0: np.ndarray, t1: np.ndarray):
+    """The real roots strictly inside (t0[i], t1[i]) of the polynomials
+    sum_p coef[i, p] t**p, as (row i, root) arrays.
+
+    Coefficients below 1e-13 of a row's largest are dropped from its top, so
+    a near-cancelled leading term lowers the degree instead of sending the
+    other roots astray.  Degrees 1 and 2 are solved in closed form (the
+    quadratic without cancellation), higher degrees by the eigenvalues of
+    stacked companion matrices; a complex pair within 1e-7 of the axis, as
+    at a tangency, counts as real.
+    """
+    scale = np.abs(coef).max(axis=1)
+    big = np.abs(coef) > 1e-13 * scale[:, None]
+    deg = coef.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1)
+    rows, roots = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(1, coef.shape[1]):
+            at = np.flatnonzero((deg == d) & (scale > 0))
+            c = coef[at, :d + 1]
+            if d == 1:
+                z = (-c[:, 0] / c[:, 1])[:, None]
+            elif d == 2:
+                disc = c[:, 1] ** 2 - 4.0 * c[:, 2] * c[:, 0]
+                q = -0.5 * (c[:, 1] + np.copysign(np.sqrt(disc), c[:, 1]))
+                z = np.stack([q / c[:, 2], c[:, 0] / q], axis=1)
+            else:
+                comp = np.zeros((at.size, d, d))
+                comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+                comp[:, :, -1] = -c[:, :d] / c[:, d:]
+                eig = np.linalg.eigvals(comp)
+                z = np.where(np.abs(eig.imag) <= 1e-7 * (1.0 + np.abs(eig.real)),
+                             eig.real, np.nan)
+            keep = (z > t0[at, None]) & (z < t1[at, None])
+            rows.append(np.broadcast_to(at[:, None], z.shape)[keep])
+            roots.append(z[keep])
+    return np.concatenate(rows), np.concatenate(roots)

@@ -19,16 +19,17 @@ the same key can only install identical arrays, never torn ones.
 
 A fill computes the whole vector at once.  In u = log v every integrand
 psi(e^{-k} v^n) = psi.eval_log(n u - k) is one function shifted by k/n, so a
-composite Gauss-Legendre rule on the lattice of step 1/(2n) in u, which holds
+composite Gauss-Legendre rule on the lattice of step 1/(4n) in u, which holds
 the knots of every B-spline psi, serves all k with shared psi values
 (:func:`_lattice_rule`).  The rule is exact for B-spline psi against
 piecewise-polynomial h with declared breakpoints and converges fast for the
-analytic sinc-type kernels.  It is run on the lattice and on halved panels;
-when the two disagree by more than abs_tol/(2n) the fill falls back to the
+analytic sinc-type kernels.  Gauss null rules on its own nodes estimate its
+error (Berntsen & Espelid, ACM TOMS 17(2), 1991); above abs_tol/(2n) the
+step is halved, up to 1/(128 n), and only then does the fill fall back to the
 per-k adaptive :func:`~expsamp.quadrature.durrmeyer_coefficient`.  The psi
 values of the full lattice cells depend on neither h nor k, so one fill
 serves C_k(1) and C_k(h) together when both are missing, as on a config's
-first evaluation, and builds that table once for both.
+first evaluation, and builds that psi table once for them both.
 
 A phi of bounded log support [slo, shi] is nonzero on at most
 ceil(shi - slo) + 1 of the Phi_k(w), so point and grid evaluations read phi
@@ -51,8 +52,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KernelDescriptor, compute_metrics
-from .quadrature import QuadratureSpec, _leggauss, durrmeyer_coefficient
+from .kernels import KernelDescriptor, _real_roots, compute_metrics
+from .quadrature import (
+    QuadratureSpec, _leggauss, _null_rules, durrmeyer_coefficient,
+)
 
 __all__ = [
     "OperatorConfig",
@@ -78,8 +81,10 @@ _DENOMINATOR_FLOOR = 1e-300
 # |J_n| = 132).
 _GRID_BLOCK = 4096
 
-# Gauss-Legendre nodes per lattice cell in a batched coefficient fill.
+# Gauss-Legendre nodes per lattice cell in a batched coefficient fill, and
+# the largest q of a lattice step 1/(q n) before the per-k fallback.
 _LATTICE_NODES = 16
+_LATTICE_MAX_Q = 128
 
 # Kernel values per psi.eval_log call in a batched coefficient fill; the
 # kernels' temporaries then stay a few hundred KB however large n is.
@@ -216,9 +221,9 @@ def _handle_panels(h, lo: float, hi: float, step: float, t: np.ndarray, wt: np.n
     return full.size > 0, V, u_irr, W
 
 
-def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, hs, q: int) -> list[np.ndarray]:
+def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, hs, q: int) -> list[tuple[np.ndarray, float]]:
     """C_k(h) for every k in ``ks`` and every handle h in ``hs`` from one
-    composite Gauss-Legendre rule per handle.
+    composite Gauss-Legendre rule per handle, each with its error estimate.
 
     The panels are the cells of the lattice of step 1/(q n) in u = log v,
     clipped to [log a, log b] and cut at h's declared breakpoints.  On a full
@@ -230,7 +235,11 @@ def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, hs, q: int) -> list[np.nd
     own pieces at the two ends and in the cells cut by its breakpoints, which
     are summed directly, and its own order of summation, so a vector does not
     depend on the other handles of the call.  ``h`` is read once, at Gauss
-    nodes only, so never on a panel edge.
+    nodes only, so never on a panel edge.  The error estimate applies the
+    null rules of ``quadrature._null_rules`` (degrees 12 to 15) to each
+    node's share of the vector (its full-cell correlation row plus its
+    own cut-cell values) and takes the largest magnitude over k, times the
+    safety factor 4 of ``integrate_log``.
     """
     n, psi = cfg.n, cfg.psi
     x, wg = _leggauss(_LATTICE_NODES)
@@ -241,8 +250,9 @@ def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, hs, q: int) -> list[np.nd
     j0, j1 = math.ceil(lo), math.floor(hi)
     kmin, kmax = int(ks[0]), int(ks[-1])
     d = np.arange(j0 - q * kmax, j1 - q * kmin)
+    accs = [np.zeros(ks.size) for _ in hs]
+    shares = [np.zeros((t.size, ks.size)) for _ in hs]
     rules = [_handle_panels(h, lo, hi, step, t, wt) for h in hs]
-    accs = [np.zeros(ks.size) for _ in rules]
     # psi is read a few nodes at a time, about _PSI_BLOCK values per call;
     # a handle's cut-cell block ends where its own block size says, as in a
     # call for that handle alone
@@ -254,16 +264,21 @@ def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, hs, q: int) -> list[np.nd
         stop = min(c + per_t, t.size)
         if tabled:
             T = _finite(psi.eval_log((t[c:stop, None] + d[None, :]) / q))
-        for (has_full, V, u_irr, W), acc, per in zip(rules, accs, pers):
+        for (has_full, V, u_irr, W), acc, S, per in zip(rules, accs, shares, pers):
             for i in range(c, stop):
                 if has_full:
                     # correlate(T_i, V_i)[q (kmax - k)] = sum_j T_i[j - q k - d[0]] V_i[j - j0]
-                    acc += np.correlate(T[i - c], V[i], "valid")[::q][::-1]
+                    S[i] = np.correlate(T[i - c], V[i], "valid")[::q][::-1]
+                    acc += S[i]
                 if u_irr.shape[0] and ((i + 1) % per == 0 or i + 1 == t.size):
                     block = slice(i - i % per, i + 1)
                     P = _finite(psi.eval_log(n * u_irr[None, :, block] - ks[:, None, None]))
                     acc += P.reshape(ks.size, -1) @ W[:, block].ravel()
-    return [n * acc for acc in accs]
+                    # each node's own share, for the null rules
+                    S[block] += (P * W[:, block]).sum(axis=1).T
+    L = _null_rules(_LATTICE_NODES)[:, :, None]
+    return [(n * acc, 4.0 * n * float(np.abs((L * S).sum(axis=1)).max()))
+            for acc, S in zip(accs, shares)]
 
 
 @lru_cache(maxsize=8)
@@ -280,49 +295,12 @@ def _bspline_pieces(order: int) -> np.ndarray:
     return np.array(B)
 
 
-def _real_roots(coef: np.ndarray, t0: np.ndarray, t1: np.ndarray):
-    """The real roots strictly inside (t0[i], t1[i]) of the polynomials
-    sum_p coef[i, p] t**p, as (row i, root) arrays.
-
-    Coefficients below 1e-13 of a row's largest are dropped from its top, so
-    a near-cancelled leading term lowers the degree instead of sending the
-    other roots astray.  Degrees 1 and 2 are solved in closed form (the
-    quadratic without cancellation), higher degrees by the eigenvalues of
-    stacked companion matrices; a complex pair within 1e-7 of the axis, as
-    at a tangency, counts as real.
-    """
-    scale = np.abs(coef).max(axis=1)
-    big = np.abs(coef) > 1e-13 * scale[:, None]
-    deg = coef.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1)
-    rows, roots = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for d in range(1, coef.shape[1]):
-            at = np.flatnonzero((deg == d) & (scale > 0))
-            c = coef[at, :d + 1]
-            if d == 1:
-                z = (-c[:, 0] / c[:, 1])[:, None]
-            elif d == 2:
-                disc = c[:, 1] ** 2 - 4.0 * c[:, 2] * c[:, 0]
-                q = -0.5 * (c[:, 1] + np.copysign(np.sqrt(disc), c[:, 1]))
-                z = np.stack([q / c[:, 2], c[:, 0] / q], axis=1)
-            else:
-                comp = np.zeros((at.size, d, d))
-                comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-                comp[:, :, -1] = -c[:, :d] / c[:, d:]
-                eig = np.linalg.eigvals(comp)
-                z = np.where(np.abs(eig.imag) <= 1e-7 * (1.0 + np.abs(eig.real)),
-                             eig.real, np.nan)
-            keep = (z > t0[at, None]) & (z < t1[at, None])
-            rows.append(np.broadcast_to(at[:, None], z.shape)[keep])
-            roots.append(z[keep])
-    return np.concatenate(rows), np.concatenate(roots)
-
-
 class DurrmeyerEvaluator:
     """Coefficient cache plus vectorized evaluation for one config.
 
     ``engines`` records, per cached handle, which engine filled its
-    coefficients: ``"batched"`` or ``"adaptive: <reason>"``.
+    coefficients: ``"batched"`` (the q = 4 lattice), ``"batched (q=N)"``
+    after escalation, or ``"adaptive: <reason>"``.
     """
 
     def __init__(self, cfg: OperatorConfig):
@@ -340,11 +318,12 @@ class DurrmeyerEvaluator:
 
         One handle gives one vector; ``coefficients("one", h)`` gives the
         tuple of both, in order.  The handles not yet cached are filled
-        together: :func:`_lattice_rule` runs once on the lattice of step
-        1/(2n) and once on halved panels, each pass building the psi table
-        once for all of them.  Each handle keeps its finer vector when its
-        two differ by at most abs_tol/(2n) everywhere; otherwise that
-        handle's coefficients are recomputed by the per-k adaptive
+        together by one :func:`_lattice_rule` pass on the lattice of step
+        1/(4n), which reads psi once for all of them and checks each vector
+        by Gauss null rules.  A handle whose estimate exceeds abs_tol/(2n)
+        is refilled alone at q = 8, 16, ..., 128 until the estimate, or the
+        difference from the previous q, meets that limit; failing that, its
+        coefficients are recomputed by the per-k adaptive
         ``durrmeyer_coefficient`` and the reason is logged at INFO on the
         ``expsamp`` logger, while the others stay batched.  Every vector is
         the one a call for its handle alone gives.  A handle whose
@@ -362,26 +341,28 @@ class DurrmeyerEvaluator:
                     f"{getattr(key, 'name', 'handle')} is defined on [{domain[0]:g}, "
                     f"{domain[1]:g}], which does not cover [{cfg.a:g}, {cfg.b:g}]")
         if missing:
-            coarse = _lattice_rule(cfg, self.ks, missing, 2)
-            fine = _lattice_rule(cfg, self.ks, missing, 4)
             limit = cfg.quad.abs_tol / (2 * cfg.n)
-            for key, c2, c4 in zip(missing, coarse, fine):
-                delta = float(np.max(np.abs(c4 - c2)))
-                engine = "batched"
-                if not delta <= limit:
-                    engine = f"adaptive: halved-panel difference {delta:.3g} > {limit:.3g}"
+            for key, (c, est) in zip(missing, _lattice_rule(cfg, self.ks, missing, 4)):
+                q, engine, err = 4, "batched", est
+                while not err <= limit and q < _LATTICE_MAX_Q:
+                    q *= 2
+                    finer, est = _lattice_rule(cfg, self.ks, [key], q)[0]
+                    err = min(est, float(np.max(np.abs(finer - c))))
+                    c, engine = finer, f"batched (q={q})"
+                if not err <= limit:
+                    engine = f"adaptive: null-rule estimate {est:.3g} > {limit:.3g} at q={q}"
                     # imported here: a run without fallbacks never loads logging
                     import logging
 
                     logging.getLogger("expsamp").info(
                         "coefficients of %s for psi=%s, n=%d on [%g, %g]: %s",
                         getattr(key, "name", key), cfg.psi.name, cfg.n, cfg.a, cfg.b, engine)
-                    c4 = np.array([
+                    c = np.array([
                         durrmeyer_coefficient(cfg.psi, int(k), cfg.n, cfg.a, cfg.b, key, cfg.quad)
                         for k in self.ks
                     ])
                 self.engines[key] = engine
-                self._coeffs[key] = c4
+                self._coeffs[key] = c
         if not more:
             return self._coeffs[keys[0]]
         return tuple(self._coeffs[k] for k in keys)

@@ -24,6 +24,8 @@ import numpy as np
 
 from .harness import FunctionHandle
 from .operators import OperatorConfig, PropertyReport, get_evaluator
+# no function here calls integrate_log, but perfbench's tracer wraps
+# orlicz.integrate_log, so it stays imported
 from .quadrature import (
     QuadratureConvergenceError, QuadratureSpec, _integrate_segments, integrate_log,
 )
@@ -41,7 +43,6 @@ __all__ = [
     "delta2_probe",
     "modular_convergence_series",
     "jensen_max_checks",
-    "modular_domination_ratio",
 ]
 
 _EXP_GUARD = 700.0
@@ -484,26 +485,3 @@ def jensen_max_checks(phi: PhiFunction, seed: int, cases: int):
             report.violations.append(("max-identity", i, A.copy()))
     return report
 
-
-def modular_domination_ratio(cfg: OperatorConfig) -> float:
-    """Diagnostic ratio: (sum-moment of psi) * |phi|_1 / ((max-moment of phi) * |psi|_1).
-
-    Both L1 norms are taken over the configured interval [a, b] against dw/w.
-    The sum-type discrete moment of psi is ``sup_u sum_k psi(e^{u-k})`` and
-    the max-type discrete moment of phi is ``sup_u max_k phi(e^{u-k})``, both
-    reduced to ``u in [0, 1]`` by periodicity.  Reported as a diagnostic
-    only; no inequality is asserted on it.
-    """
-    spec = QuadratureSpec(abs_tol=1e-9)
-    lo, hi = math.log(cfg.a), math.log(cfg.b)
-    phi_l1 = integrate_log(lambda x: np.abs(cfg.phi.eval_log(x)), lo, hi, spec).value
-    psi_l1 = integrate_log(lambda x: np.abs(cfg.psi.eval_log(x)), lo, hi, spec).value
-
-    u = np.linspace(0.0, 1.0, 2001)
-    ks = np.arange(-50, 51, dtype=float)
-    X = u[:, None] - ks[None, :]
-    phi_disc = float(np.max(np.asarray(cfg.phi.eval_log(X))))
-    psi_sum = float(np.max(np.sum(np.asarray(cfg.psi.eval_log(X)), axis=1)))
-    if not (phi_disc > 0 and psi_l1 > 0):
-        raise ValueError("degenerate kernels for the domination ratio")
-    return psi_sum * phi_l1 / (phi_disc * psi_l1)

@@ -187,6 +187,15 @@ def _legder(c: np.ndarray) -> np.ndarray:
     return der
 
 
+@lru_cache(maxsize=4)
+def _null_rules(n: int) -> np.ndarray:
+    """P_m(x_i), m = n - 4, ..., n - 1, at the n Gauss nodes x_i; times the
+    Gauss weights each row is a null rule, zero on every polynomial of
+    degree below m (Berntsen & Espelid, ACM TOMS 17(2), 1991)."""
+    x = _leggauss(n)[0]
+    return np.array([_legval(x, np.eye(n)[m]) for m in range(n - 4, n)])
+
+
 @lru_cache(maxsize=32)
 def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Clenshaw-Curtis nodes/weights on [-1, 1] with n+1 points (n even).
@@ -430,8 +439,8 @@ def durrmeyer_coefficient(
 
     This is the per-k reference engine.  ``DurrmeyerEvaluator.coefficients``
     fills whole coefficient vectors from one lattice-aligned Gauss-Legendre
-    rule and falls back to this function, k by k, only when that rule's
-    halved-panel check fails; the tests compare the two.
+    rule and falls back to this function, k by k, only when that rule fails
+    its null-rule check up to q = 128; the tests compare the two.
     """
     if not (a > 0 and b > a):
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")

@@ -13,6 +13,23 @@ def runner():
     return CliRunner()
 
 
+def _invoke_in_process(capsys, args):
+    """(exit code, stdout + stderr) of ``expsamp args``, read through capsys.
+
+    pytest's live-log handler suspends and resumes capture around each
+    record, and the resume reinstalls pytest's own streams: output a
+    CliRunner collects would land there after any log record of the
+    command.  capsys is what that resume reinstalls, so this holds whether
+    or not a record fires.
+    """
+    try:
+        main.main(args, prog_name="expsamp")
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out + out.err
+
+
 # ---------------------------------------------------------------------------
 # config round-trip
 # ---------------------------------------------------------------------------
@@ -75,14 +92,14 @@ def test_kernel_info_parse_error(runner):
 # op eval
 # ---------------------------------------------------------------------------
 
-def test_op_eval(runner):
-    res = runner.invoke(main, [
+def test_op_eval(capsys):
+    code, output = _invoke_in_process(capsys, [
         "op", "eval", "--operator", "max_product", "--phi", "bspline:2",
         "--psi", "bspline:2", "-n", "3", "--interval", "1:7.389",
         "--function", "h1", "-w", "2.0", "--quad-tol", "1e-9",
     ])
-    assert res.exit_code == 0, res.output
-    assert "value=" in res.output and "abs_error=" in res.output
+    assert code == 0, output
+    assert "value=" in output and "abs_error=" in output
 
 
 def test_op_eval_json(runner):
@@ -340,15 +357,15 @@ def test_modular_requires_phi_function(runner, tmp_path):
 
 
 @pytest.mark.parametrize("gauge,lam", [("exppower:1", "5000"), ("power:2", "1e200")])
-def test_modular_overflow_names_lambda(runner, tmp_path, gauge, lam):
-    res = runner.invoke(main, [
+def test_modular_overflow_names_lambda(capsys, tmp_path, gauge, lam):
+    code, output = _invoke_in_process(capsys, [
         "modular", "--phi-function", gauge, "--lambda", lam,
         "--operator", "max_product", "--phi", "bspline:2", "--psi", "bspline:2",
         "--n-list", "2,3", "--interval", "1:7.389", "--function", "h1",
         "--output", str(tmp_path / "m.csv"),
     ])
-    assert res.exit_code == 1
-    assert f"lambda={float(lam):g}" in res.output
+    assert code == 1, output
+    assert f"lambda={float(lam):g}" in output
 
 
 def test_props(runner):

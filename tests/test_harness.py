@@ -268,27 +268,6 @@ def test_sweep_h2_non_increasing(b2, jackson):
     assert rep.sup_errors[1] <= rep.sup_errors[0]
 
 
-def test_rescaled_to_unit(h1):
-    from expsamp import rescaled_to_unit
-
-    def shifted(w):
-        return 3.0 * np.asarray(h1(w), dtype=float) + 2.0
-
-    handle = FunctionHandle(name="shifted", domain=(0.25, 3.0), evaluator=shifted)
-    scaled, (lo, hi) = rescaled_to_unit(handle, 0.25, 3.0)
-    # same probe construction as the helper, so min/max land exactly on 0/1
-    grid = np.exp(np.linspace(math.log(0.25), math.log(3.0), 1024))
-    vals = np.asarray(scaled(grid))
-    assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
-    assert lo < hi
-    np.testing.assert_allclose(lo + (hi - lo) * vals, shifted(grid), rtol=1e-12)
-
-    const = FunctionHandle(name="c", domain=(0.25, 3.0),
-                           evaluator=lambda w: np.full_like(np.asarray(w, dtype=float), 5.0))
-    flat, _ = rescaled_to_unit(const, 0.25, 3.0)
-    assert float(np.max(np.abs(np.asarray(flat(grid))))) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # reference data and golden comparison
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import types
 
 import numpy as np
@@ -24,7 +25,7 @@ from expsamp import (
     maxmin_algebra_checks,
     parse_kernel_spec,
 )
-from expsamp import operators, quadrature
+from expsamp import operators, quadrature, refdata
 from helpers import (
     combine,
     piecewise_constant_handle,
@@ -486,7 +487,7 @@ def test_batched_coefficients_match_per_k(psi_spec, which):
 
 
 @pytest.mark.parametrize("handle", [
-    # exp(10/34) is a knot of the lattice at n = 17, halved panels included
+    # exp(10/34) is a knot of the lattice of step 1/68 at n = 17
     _steps((math.exp(10 / 34), 1.9), (0.2, 0.7, 0.5), name="on-knot"),
     # only the middle value is ever read on [0.25, 3]
     _steps((0.05, 1.3, 5.0), (9.0, 0.4, 0.8, 9.0), name="outside"),
@@ -501,8 +502,8 @@ def test_batched_breakpoint_placement(b3, handle):
 
 
 def test_batched_without_full_panels(b3):
-    # a breakpoint in every cell of the halved-panel lattice (step 1/4)
-    # leaves neither rule a single full panel
+    # a breakpoint in every cell of the lattice (step 1/4) leaves the rule
+    # no full panel
     cuts = tuple(math.exp(0.1 + 0.25 * i) for i in range(5))
     handle = _steps(cuts, (0.1, 0.9, 0.3, 0.8, 0.2, 0.6), name="all-cut")
     cfg = OperatorConfig(phi=b3, psi=b3, n=1, a=1.0, b=math.exp(1.2))
@@ -517,7 +518,7 @@ def test_batched_without_full_panels(b3):
                                   quad=QuadratureSpec())
     ks = np.array([-1.0, 0.0, 1.0])
     for q in (2, 4):
-        np.testing.assert_allclose(operators._lattice_rule(short, ks, [handle], q)[0],
+        np.testing.assert_allclose(operators._lattice_rule(short, ks, [handle], q)[0][0],
                                    _exact_bspline_coefficients(short, ks, handle),
                                    rtol=0, atol=1e-12)
 
@@ -561,7 +562,9 @@ def test_undeclared_jump_falls_back(jackson, h2, caplog):
     ev = DurrmeyerEvaluator(cfg)
     with caplog.at_level(logging.INFO, logger="expsamp"):
         got = ev.coefficients(blind)
-    assert ev.engines[blind].startswith("adaptive: halved-panel difference")
+    # escalated to the finest lattice before falling back
+    assert ev.engines[blind].startswith("adaptive: null-rule estimate")
+    assert ev.engines[blind].endswith(f"at q={operators._LATTICE_MAX_Q}")
     assert any(ev.engines[blind] in r.getMessage() for r in caplog.records)
     sub = slice(None, None, 10)
     ref = [operators.durrmeyer_coefficient(jackson, int(k), cfg.n, cfg.a, cfg.b, h2, cfg.quad)
@@ -577,7 +580,7 @@ def test_joint_fill_with_a_fallback_keeps_the_other_batched(jackson, h2):
     ev = DurrmeyerEvaluator(cfg)
     c_one, c_blind = ev.coefficients("one", blind)
     assert ev.engines == {"one": "batched", blind: ev.engines[blind]}
-    assert ev.engines[blind].startswith("adaptive: halved-panel difference")
+    assert ev.engines[blind].startswith("adaptive: null-rule estimate")
     alone = DurrmeyerEvaluator(cfg)
     assert np.array_equal(c_one, alone.coefficients("one"))
     assert np.array_equal(c_blind, alone.coefficients(blind))
@@ -610,6 +613,57 @@ def test_joint_fill_equals_separate_fills(psi_spec, n, h1, h2, monkeypatch):
         points.clear()
         again = ev.coefficients(h, "one", h)
         assert points == [] and again[0] is got[1] and again[1] is got[0]
+
+
+def test_null_rules_vanish_below_their_degree():
+    x, w = quadrature._leggauss(operators._LATTICE_NODES)
+    legendre = quadrature._null_rules(operators._LATTICE_NODES)
+    for m, p_m in zip(range(12, 16), legendre):
+        null = w * p_m
+        for p in range(m):
+            assert abs(null @ x ** p) <= 1e-15, (m, p)
+        # P_m itself integrates to 2/(2m + 1) against P_m
+        assert null @ p_m == pytest.approx(2 / (2 * m + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("abs_tol", [1e-10, 2e-14])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_escalated_fill_meets_its_limit(b2, h1, n, abs_tol):
+    # h1 oscillates on [1, e^2]: against bspline:2 psi the q = 4 lattice
+    # misses abs_tol/(2n) here, so the fill escalates in q or falls back
+    cfg = OperatorConfig(phi=b2, psi=b2, n=n, a=1.0, b=math.exp(2.0),
+                         quad=QuadratureSpec(abs_tol=abs_tol))
+    ev = DurrmeyerEvaluator(cfg)
+    got = ev.coefficients(h1)
+    engine = ev.engines[h1]
+    ref = [operators.durrmeyer_coefficient(b2, int(k), n, cfg.a, cfg.b, h1, cfg.quad)
+           for k in ev.ks]
+    np.testing.assert_allclose(got, ref, rtol=0, atol=abs_tol)
+    if engine.startswith("adaptive: null-rule estimate"):
+        return
+    q = int(re.fullmatch(r"batched \(q=(\d+)\)", engine).group(1))
+    assert 8 <= q <= operators._LATTICE_MAX_Q
+    finest = operators._lattice_rule(cfg, ev.ks, [h1], operators._LATTICE_MAX_Q)[0][0]
+    assert np.max(np.abs(got - finest)) <= abs_tol / (2 * n)
+
+
+@pytest.mark.parametrize("table_id", refdata.TABLE_IDS)
+def test_table_configs_fill_in_one_lattice_pass(table_id, monkeypatch):
+    info = refdata.TABLE_INFO[table_id]
+    h = get_test_function(info["function"])
+    qs = []
+    rule = operators._lattice_rule
+    monkeypatch.setattr(operators, "_lattice_rule",
+                        lambda *args: qs.append(args[3]) or rule(*args))
+    a, b = refdata.REFERENCE_INTERVAL
+    for n in refdata.REFERENCE_N_VALUES:
+        cfg = OperatorConfig(phi=parse_kernel_spec(info["phi"]), psi=parse_kernel_spec(info["psi"]),
+                             n=n, a=a, b=b, quad=QuadratureSpec(abs_tol=1e-9))
+        ev = DurrmeyerEvaluator(cfg)
+        qs.clear()
+        ev.coefficients("one", h)
+        assert qs == [4]
+        assert ev.engines == {"one": "batched", h: "batched"}
 
 
 def test_joint_fill_checks_every_domain_before_reading(b3):

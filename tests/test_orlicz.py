@@ -20,7 +20,6 @@ from expsamp import (
     luxemburg_norm,
     modular,
     modular_convergence_series,
-    modular_domination_ratio,
     parse_phi_spec,
     quadrature,
 )
@@ -603,8 +602,3 @@ def test_modular_series_overflow_names_lambda(b2):
         modular_convergence_series(parse_phi_spec("power:2"), "max_product",
                                    get_test_function("h1"), cfg, [2, 3], lam=1e200)
 
-
-def test_domination_ratio_diagnostic(b3, fejer):
-    cfg = OperatorConfig(phi=b3, psi=fejer, n=5, a=0.25, b=3.0)
-    ratio = modular_domination_ratio(cfg)
-    assert math.isfinite(ratio) and ratio > 0
