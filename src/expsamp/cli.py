@@ -4,8 +4,9 @@ golden-file verification, sweeps, modular diagnostics, property suites and
 per-config writers as ``table``, ``sweep`` and ``modular``.
 
 Exit-code policy: 0 on success, 1 on operational failure (including a failed
-verification), 2 on usage/parse/schema errors.  Producing a table never
-fails on value mismatch; comparison is the separate ``verify`` step.
+verification), 2 on usage/parse/schema errors, among them any ``ValueError``
+of a table, sweep or modular run.  Producing a table never fails on value
+mismatch; comparison is the separate ``verify`` step.
 """
 
 from __future__ import annotations
@@ -396,6 +397,14 @@ def _write_output(path: Path, fmt: str, echo: dict, rows: list[dict], write_csv,
     write_json_mirror(path, echo, rows, **extra)
 
 
+def _checked(run, *args, **kwargs):
+    """``run(*args, **kwargs)``, a ValueError (an argument it refuses) a usage error."""
+    try:
+        return run(*args, **kwargs)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 def _run_table(cfg: ExperimentConfig) -> dict[str, list]:
     """Build and write the error table of each operator of ``cfg``; returns their rows."""
     operators = ["max_product", "max_min"] if cfg.operator == "both" else [cfg.operator]
@@ -403,8 +412,8 @@ def _run_table(cfg: ExperimentConfig) -> dict[str, list]:
     h = _load_function(cfg.test_function, cfg.interval)
     base, built = Path(cfg.output), {}
     for oper in operators:
-        table = build_error_table(
-            oper, cfg.phi, cfg.psi, cfg.n_list, points,
+        table = _checked(
+            build_error_table, oper, cfg.phi, cfg.psi, cfg.n_list, points,
             interval=cfg.interval, quad=QuadratureSpec(abs_tol=cfg.quad_tol), which=h,
         )
         rows = built[oper] = table.rows()
@@ -420,8 +429,8 @@ def _run_table(cfg: ExperimentConfig) -> dict[str, list]:
 def _run_sweep(cfg: ExperimentConfig) -> None:
     """Run and write the sup-error sweep of ``cfg``, per-point errors in the JSON."""
     h = _load_function(cfg.test_function, cfg.interval)
-    report = convergence_sweep(
-        cfg.operator, cfg.phi, cfg.psi, h, cfg.n_list,
+    report = _checked(
+        convergence_sweep, cfg.operator, cfg.phi, cfg.psi, h, cfg.n_list,
         grid_density=SWEEP_GRID_DENSITY if cfg.grid_density is None else cfg.grid_density,
         interval=cfg.interval,
         quad=QuadratureSpec(abs_tol=cfg.quad_tol),
@@ -450,8 +459,8 @@ def _run_modular(cfg: ExperimentConfig) -> None:
         a=cfg.interval[0], b=cfg.interval[1], quad=QuadratureSpec(abs_tol=cfg.quad_tol),
     )
     try:
-        series = modular_convergence_series(gauge, cfg.operator, h, template,
-                                            cfg.n_list, lam=cfg.lam)
+        series = _checked(modular_convergence_series, gauge, cfg.operator, h, template,
+                          cfg.n_list, lam=cfg.lam)
     except OrliczOverflowError as exc:
         raise click.ClickException(str(exc)) from None
 
@@ -510,6 +519,8 @@ def verify_cmd(table_file, reference, rel_tol) -> None:
         report = compare_tables(produced, ref_rows, rel_tol)
     except SchemaMismatchError as exc:
         raise DataError(str(exc)) from None
+    except ValueError as exc:  # compare_tables' check of rel_tol
+        raise click.BadParameter(str(exc), param_hint="--rel-tol") from None
     for n, point, got, want, rel in report.deviations:
         mark = " [flagged]" if (n, point) in report.flagged else ""
         click.echo(f"n={n} w={point:g}: produced={got:.6g} reference={want:.6g} "
@@ -604,7 +615,7 @@ def reproduce_cmd(kind, outdir) -> None:
 
 @main.command("props")
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--cases", type=int, default=10_000, show_default=True)
+@click.option("--cases", type=click.IntRange(min=1), default=10_000, show_default=True)
 def props_cmd(seed, cases) -> None:
     """Run the lattice-algebra and gauge/maximum property suites."""
     reports = [maxmin_algebra_checks(seed, cases)]

@@ -175,13 +175,8 @@ class ErrorTable:
     warnings: list[str] = field(default_factory=list)  # distinct operator warnings
 
     def rows(self) -> list["TableRow"]:
-        out = []
-        for i, n in enumerate(self.n_values):
-            for j, p in enumerate(self.points):
-                e = self.entries[i, j]
-                sk = (n, p) in self.skipped
-                out.append(TableRow(n=n, point=p, abs_error=float(e), skipped=sk))
-        return out
+        return [TableRow(n=n, point=p, abs_error=float(e), skipped=(n, p) in self.skipped)
+                for n, row in zip(self.n_values, self.entries) for p, e in zip(self.points, row)]
 
 
 @dataclass(frozen=True)
@@ -190,6 +185,26 @@ class TableRow:
     point: float
     abs_error: float
     skipped: bool = False
+
+
+def _grid_errors(operator_kind, phi_spec, psi_spec, which, n_values, ws, interval, quad):
+    """The kernel names, ``h``'s name, ``|D_n(h)(w) - h(w)|`` with its skip
+    mask (a row per n, from one ``eval_grid`` call each; a column per w in
+    ``ws``), and the warnings: ``h``'s ``range_warning`` for max-min unless
+    every point was skipped."""
+    phi, psi = _resolve_kernel(phi_spec), _resolve_kernel(psi_spec)
+    h = get_test_function(which)
+    href = np.asarray(h(ws), dtype=float)
+    a, b = interval
+    errors = np.empty((len(n_values), ws.size))
+    skipped = np.empty(errors.shape, dtype=bool)
+    for i, n in enumerate(n_values):
+        ev = get_evaluator(OperatorConfig(phi=phi, psi=psi, n=n, a=a, b=b, quad=quad))
+        vals, skipped[i] = ev.eval_grid(operator_kind, h, ws)
+        errors[i] = np.abs(vals - href)
+    warning = ev.range_warning(h) if operator_kind == "max_min" and not skipped.all() else None
+    return ((phi.name, psi.name), getattr(h, "name", "custom"), errors, skipped,
+            [] if warning is None else [warning])
 
 
 def build_error_table(
@@ -204,8 +219,9 @@ def build_error_table(
 ) -> ErrorTable:
     """Absolute errors ``|D_n(h)(w) - h(w)|`` over n_values x points.
 
-    One ``eval_grid`` call per n, as in :func:`convergence_sweep`; skipped
-    cells hold NaN, and a max-min table keeps ``h``'s ``range_warning``.
+    One ``eval_grid`` call per n, in the loop :func:`convergence_sweep`
+    shares; skipped cells hold NaN, and a max-min table keeps ``h``'s
+    ``range_warning``.  A repeated n or point is a ``ValueError``.
     """
     if operator_kind not in ("max_product", "max_min"):
         raise ValueError(f"unknown operator kind {operator_kind!r}")
@@ -213,29 +229,17 @@ def build_error_table(
     points = [float(p) for p in points]
     if not n_values:
         raise ValueError("n_values must be nonempty")
+    if len(set(n_values)) < len(n_values) or len(set(points)) < len(points):
+        raise ValueError("n_values and points must be distinct: one cell per (n, point)")
     a, b = interval
     if any(not (a < p < b) for p in points):
         raise ValueError(f"every point must lie strictly inside ({a}, {b})")
-    phi = _resolve_kernel(phi_spec)
-    psi = _resolve_kernel(psi_spec)
-    h = get_test_function(which)
-    ws = np.array(points)
-    href = np.asarray(h(ws), dtype=float)
-
-    entries = np.empty((len(n_values), len(points)))
-    skipped: list[tuple[int, float]] = []
-    for i, n in enumerate(n_values):
-        ev = get_evaluator(OperatorConfig(phi=phi, psi=psi, n=n, a=a, b=b, quad=quad))
-        vals, skip = ev.eval_grid(operator_kind, h, ws)
-        entries[i] = np.abs(vals - href)
-        skipped += [(n, p) for p, s in zip(points, skip) if s]
-    warn = operator_kind == "max_min" and len(skipped) < entries.size
-    warning = ev.range_warning(h) if warn else None
+    pair, name, entries, skip, warnings = _grid_errors(
+        operator_kind, phi_spec, psi_spec, which, n_values, np.array(points), interval, quad)
     return ErrorTable(
-        operator_kind=operator_kind, kernel_pair=(phi.name, psi.name),
-        which=getattr(h, "name", "custom"), n_values=n_values, points=points,
-        entries=entries, skipped=skipped, interval=interval,
-        warnings=[] if warning is None else [warning],
+        operator_kind=operator_kind, kernel_pair=pair, which=name, n_values=n_values,
+        points=points, entries=entries, interval=interval, warnings=warnings,
+        skipped=[(n, p) for n, row in zip(n_values, skip) for p, s in zip(points, row) if s],
     )
 
 
@@ -266,37 +270,27 @@ def convergence_sweep(
     """Sup-error of D_n over a log-spaced interior grid, for each n.
 
     The grid covers [max(a, 0.3), min(b, 2.9)] to keep clear of edge-skip
-    noise; skipped points are excluded from the supremum and counted.  A
-    max-min sweep keeps ``h``'s ``range_warning``, as a table does.
+    noise; an interval that leaves that window empty is a ``ValueError``.
+    Skipped points are excluded from the supremum and counted.  A max-min
+    sweep keeps ``h``'s ``range_warning``, as a table does.
     """
     n_values = [int(n) for n in n_values]
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
     a, b = interval
     lo, hi = max(a, 0.3), min(b, 2.9)
+    if not lo < hi:
+        raise ValueError(f"the sweep window [max(a, 0.3), min(b, 2.9)] = [{lo:g}, {hi:g}] "
+                         f"of the interval [{a:g}, {b:g}] is empty")
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_density))
-    phi = _resolve_kernel(phi_spec)
-    psi = _resolve_kernel(psi_spec)
-    h = get_test_function(which)
-    href = np.asarray(h(grid), dtype=float)
-
-    sup_errors, skipped_counts = [], []
-    per_point = np.full((len(n_values), grid_density), np.nan)
-    for i, n in enumerate(n_values):
-        ev = get_evaluator(OperatorConfig(phi=phi, psi=psi, n=n, a=a, b=b, quad=quad))
-        vals, skipped = ev.eval_grid(operator_kind, h, grid)
-        err = np.abs(vals - href)
-        per_point[i] = err
-        good = ~skipped
-        sup_errors.append(float(np.nanmax(err[good])) if good.any() else math.nan)
-        skipped_counts.append(int(skipped.sum()))
-    warn = operator_kind == "max_min" and sum(skipped_counts) < per_point.size
-    warning = ev.range_warning(h) if warn else None
+    pair, name, per_point, skipped, warnings = _grid_errors(
+        operator_kind, phi_spec, psi_spec, which, n_values, grid, interval, quad)
     return SweepReport(
-        operator_kind=operator_kind, kernel_pair=(phi.name, psi.name),
-        which=getattr(h, "name", "custom"), n_values=n_values, grid=grid,
-        sup_errors=sup_errors, per_point=per_point, skipped_counts=skipped_counts,
-        interval=interval, warnings=[] if warning is None else [warning],
+        operator_kind=operator_kind, kernel_pair=pair, which=name, n_values=n_values,
+        grid=grid, per_point=per_point, interval=interval, warnings=warnings,
+        sup_errors=[float(np.nanmax(err[~skip])) if not skip.all() else math.nan
+                    for err, skip in zip(per_point, skipped)],
+        skipped_counts=[int(skip.sum()) for skip in skipped],
     )
 
 
@@ -453,7 +447,10 @@ def compare_tables(produced_rows, reference_rows, rel_tol: float) -> VerifyRepor
     Passes iff every cell outside the reference's own non-monotone positions
     agrees within ``rel_tol`` relative deviation, and the produced errors are
     non-increasing in n at every point outside those same positions.
+    ``rel_tol`` must be a number >= 0 (NaN is not): ``ValueError`` otherwise.
     """
+    if not rel_tol >= 0:
+        raise ValueError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
     prod = _cells(produced_rows)
     ref = _cells(reference_rows)
     if set(prod) != set(ref):

@@ -23,13 +23,14 @@ composite Gauss-Legendre rule on the lattice of step 1/(4n) in u, which holds
 the knots of every B-spline psi, serves all k with shared psi values
 (:func:`_lattice_rule`).  The rule is exact for B-spline psi against
 piecewise-polynomial h with declared breakpoints and converges fast for the
-analytic sinc-type kernels.  Gauss null rules on its own nodes estimate its
-error (Berntsen & Espelid, ACM TOMS 17(2), 1991); above abs_tol/(2n) the
-step is halved, up to 1/(128 n), and only then does the fill fall back to the
-per-k adaptive :func:`~expsamp.quadrature.durrmeyer_coefficient`.  The psi
-values of the full lattice cells depend on neither h nor k, so one fill
-serves C_k(1) and C_k(h) together when both are missing, as on a config's
-first evaluation, and builds that psi table once for them both.
+analytic sinc-type kernels.  The vector is the sum of its Gauss nodes'
+shares, and Gauss null rules on the shares estimate its error (Berntsen &
+Espelid, ACM TOMS 17(2), 1991); above abs_tol/(2n) the step is halved, up
+to 1/(128 n), and only then does the fill fall back to the per-k adaptive
+:func:`~expsamp.quadrature.durrmeyer_coefficient`.  The psi values of the
+full lattice cells depend on neither h nor k, so one fill serves C_k(1) and
+C_k(h) together when both are missing, as on a config's first evaluation,
+and builds that psi table once for them both.
 
 A phi of bounded log support [slo, shi] is nonzero on at most
 ceil(shi - slo) + 1 of the Phi_k(w), so point and grid evaluations read phi
@@ -54,7 +55,7 @@ import numpy as np
 
 from .kernels import KernelDescriptor, _real_roots, compute_metrics
 from .quadrature import (
-    QuadratureSpec, _leggauss, _null_rules, durrmeyer_coefficient,
+    QuadratureSpec, _as_signal, _leggauss, _null_rules, durrmeyer_coefficient,
 )
 
 __all__ = [
@@ -86,8 +87,9 @@ _GRID_BLOCK = 4096
 _LATTICE_NODES = 16
 _LATTICE_MAX_Q = 128
 
-# Kernel values per psi.eval_log call in a batched coefficient fill; the
-# kernels' temporaries then stay a few hundred KB however large n is.
+# Kernel values per psi table block in a batched coefficient fill (a
+# signal's cut cells read about pieces/q times as many); the kernels'
+# temporaries then stay a few hundred KB however large n is.
 _PSI_BLOCK = 4096
 
 # Located pieces closer than this in x = n log w, to each other or to the
@@ -167,10 +169,6 @@ class OperatorEvaluation:
     warning: str | None = None
 
 
-def _is_one(h) -> bool:
-    return h is None or (isinstance(h, str) and h == "one")
-
-
 def _finite(vals) -> np.ndarray:
     vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -194,8 +192,7 @@ def _handle_panels(h, lo: float, hi: float, step: float, t: np.ndarray, wt: np.n
     nodes ``u_irr`` and weighted values ``W`` of the other pieces.  ``h`` is
     read once, full cells first; its node and value arrays are freed here, so
     a joint fill holds only each handle's V, W and ``u_irr`` in its psi loop."""
-    one = _is_one(h)
-    bps = () if one else getattr(h, "breakpoints", ()) or ()
+    bps = getattr(h, "breakpoints", ()) or ()
     cuts = [s for s in (math.log(bp) / step for bp in bps) if lo < s < hi]
     j0, j1 = math.ceil(lo), math.floor(hi)
     edges = np.array(sorted({lo, hi, *range(j0, j1 + 1), *cuts}), dtype=float)
@@ -205,41 +202,35 @@ def _handle_panels(h, lo: float, hi: float, step: float, t: np.ndarray, wt: np.n
     is_full = width == 1.0
     full, p0, width = p0[is_full].astype(int), p0[~is_full], width[~is_full]
     u_irr = (p0[:, None] + width[:, None] * t[None, :]) * step
+    u = np.concatenate([((full[:, None] + t[None, :]) * step).ravel(), u_irr.ravel()])
+    hv = _finite(np.broadcast_to(h(np.exp(u)), u.shape))
+    del u
     V = np.zeros((t.size, max(j1 - j0, 0)))
+    V[:, full - j0] = hv[:full.size * t.size].reshape(full.size, t.size).T
+    V *= (step * wt)[:, None]
     W = width[:, None] * step * wt[None, :]
-    if one:
-        V[:, full - j0] = (step * wt)[:, None]
-    else:
-        u_full = (full[:, None] + t[None, :]) * step
-        u = np.concatenate([u_full.ravel(), u_irr.ravel()])
-        del u_full
-        hv = _finite(np.broadcast_to(h(np.exp(u)), u.shape))
-        del u
-        V[:, full - j0] = hv[:full.size * t.size].reshape(full.size, t.size).T
-        V *= (step * wt)[:, None]
-        W *= hv[full.size * t.size:].reshape(W.shape)
+    W *= hv[full.size * t.size:].reshape(W.shape)
     return full.size > 0, V, u_irr, W
 
 
 def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, hs, q: int) -> list[tuple[np.ndarray, float]]:
-    """C_k(h) for every k in ``ks`` and every handle h in ``hs`` from one
-    composite Gauss-Legendre rule per handle, each with its error estimate.
+    """C_k(h) for every k in ``ks`` and every signal h in ``hs`` from one
+    composite Gauss-Legendre rule per signal, each with its error estimate.
 
     The panels are the cells of the lattice of step 1/(q n) in u = log v,
     clipped to [log a, log b] and cut at h's declared breakpoints.  On a full
     cell j, node i sits at u = (j + t_i)/(q n), where psi(e^{-k} v^n) reads
     ``T_i[j - q k] = psi.eval_log((j - q k + t_i)/q)``: one sequence T_i serves
-    every k and every handle, and each coefficient is a sum over i of
-    correlations of T_i with the weighted h values, strided by q.  The table
-    is built once per block of nodes for all handles; each handle keeps its
-    own pieces at the two ends and in the cells cut by its breakpoints, which
-    are summed directly, and its own order of summation, so a vector does not
-    depend on the other handles of the call.  ``h`` is read once, at Gauss
-    nodes only, so never on a panel edge.  The error estimate applies the
-    null rules of ``quadrature._null_rules`` (degrees 12 to 15) to each
-    node's share of the vector (its full-cell correlation row plus its
-    own cut-cell values) and takes the largest magnitude over k, times the
-    safety factor 4 of ``integrate_log``.
+    every k and every signal.  Node i's share S_i of a vector is the
+    correlation of T_i with the weighted h values, strided by q, plus its
+    terms on the signal's own pieces at the two ends and in the cells cut by
+    its breakpoints; the vector is n sum_i S_i.  psi is read in blocks of
+    nodes that depend on cfg and q only, the table once for all signals, so
+    a vector does not depend on the other signals of the call.  ``h`` is
+    read once, at Gauss nodes only, so never on a panel edge.  The error
+    estimate is 4 n max_k max_m |sum_i P_m(x_i) S_i[k]| over the null rules
+    of ``quadrature._null_rules`` (degrees 12 to 15); 4 is the safety factor
+    of ``integrate_log``.
     """
     n, psi = cfg.n, cfg.psi
     x, wg = _leggauss(_LATTICE_NODES)
@@ -250,35 +241,25 @@ def _lattice_rule(cfg: OperatorConfig, ks: np.ndarray, hs, q: int) -> list[tuple
     j0, j1 = math.ceil(lo), math.floor(hi)
     kmin, kmax = int(ks[0]), int(ks[-1])
     d = np.arange(j0 - q * kmax, j1 - q * kmin)
-    accs = [np.zeros(ks.size) for _ in hs]
     shares = [np.zeros((t.size, ks.size)) for _ in hs]
     rules = [_handle_panels(h, lo, hi, step, t, wt) for h in hs]
-    # psi is read a few nodes at a time, about _PSI_BLOCK values per call;
-    # a handle's cut-cell block ends where its own block size says, as in a
-    # call for that handle alone
-    pers = [max(1, _PSI_BLOCK // max(d.size, ks.size * u_irr.shape[0], 1))
-            for _, _, u_irr, _ in rules]
-    per_t = max(1, _PSI_BLOCK // max(d.size, 1))
     tabled = any(has_full for has_full, _, _, _ in rules)
-    for c in range(0, t.size, per_t):
-        stop = min(c + per_t, t.size)
+    per = max(1, _PSI_BLOCK // max(d.size, 1))
+    for c in range(0, t.size, per):
+        block = slice(c, c + per)
         if tabled:
-            T = _finite(psi.eval_log((t[c:stop, None] + d[None, :]) / q))
-        for (has_full, V, u_irr, W), acc, S, per in zip(rules, accs, shares, pers):
-            for i in range(c, stop):
-                if has_full:
+            T = _finite(psi.eval_log((t[block, None] + d[None, :]) / q))
+        for (has_full, V, u_irr, W), S in zip(rules, shares):
+            if has_full:
+                for i, T_i in enumerate(T, c):
                     # correlate(T_i, V_i)[q (kmax - k)] = sum_j T_i[j - q k - d[0]] V_i[j - j0]
-                    S[i] = np.correlate(T[i - c], V[i], "valid")[::q][::-1]
-                    acc += S[i]
-                if u_irr.shape[0] and ((i + 1) % per == 0 or i + 1 == t.size):
-                    block = slice(i - i % per, i + 1)
-                    P = _finite(psi.eval_log(n * u_irr[None, :, block] - ks[:, None, None]))
-                    acc += P.reshape(ks.size, -1) @ W[:, block].ravel()
-                    # each node's own share, for the null rules
-                    S[block] += (P * W[:, block]).sum(axis=1).T
+                    S[i] = np.correlate(T_i, V[i], "valid")[::q][::-1]
+            if u_irr.shape[0]:
+                P = _finite(psi.eval_log(n * u_irr[None, :, block] - ks[:, None, None]))
+                S[block] += (P * W[:, block]).sum(axis=1).T
     L = _null_rules(_LATTICE_NODES)[:, :, None]
-    return [(n * acc, 4.0 * n * float(np.abs((L * S).sum(axis=1)).max()))
-            for acc, S in zip(accs, shares)]
+    return [(n * S.sum(axis=0), 4.0 * n * float(np.abs((L * S).sum(axis=1)).max()))
+            for S in shares]
 
 
 @lru_cache(maxsize=8)
@@ -317,7 +298,8 @@ class DurrmeyerEvaluator:
         """C_k(h) for every k in the index set; memoized per handle.
 
         One handle gives one vector; ``coefficients("one", h)`` gives the
-        tuple of both, in order.  The handles not yet cached are filled
+        tuple of both, in order; ``"one"`` (or None) is the constant signal
+        ``quadrature._constant_one``.  The handles not yet cached are filled
         together by one :func:`_lattice_rule` pass on the lattice of step
         1/(4n), which reads psi once for all of them and checks each vector
         by Gauss null rules.  A handle whose estimate exceeds abs_tol/(2n)
@@ -330,11 +312,12 @@ class DurrmeyerEvaluator:
         ``domain`` does not cover [a, b] is rejected with ``ValueError``
         before any handle is read.
         """
-        keys = ["one" if _is_one(g) else g for g in (h, *more)]
+        keys = ["one" if g is None else g for g in (h, *more)]
         missing = [k for k in dict.fromkeys(keys) if k not in self._coeffs]
+        signals = [_as_signal(k) for k in missing]
         cfg = self.cfg
         for key in missing:
-            domain = None if key == "one" else getattr(key, "domain", None)
+            domain = getattr(key, "domain", None)
             if domain is not None and not (
                     domain[0] - _EDGE_GRACE <= cfg.a and cfg.b <= domain[1] + _EDGE_GRACE):
                 raise ValueError(
@@ -342,11 +325,11 @@ class DurrmeyerEvaluator:
                     f"{domain[1]:g}], which does not cover [{cfg.a:g}, {cfg.b:g}]")
         if missing:
             limit = cfg.quad.abs_tol / (2 * cfg.n)
-            for key, (c, est) in zip(missing, _lattice_rule(cfg, self.ks, missing, 4)):
+            for key, g, (c, est) in zip(missing, signals, _lattice_rule(cfg, self.ks, signals, 4)):
                 q, engine, err = 4, "batched", est
                 while not err <= limit and q < _LATTICE_MAX_Q:
                     q *= 2
-                    finer, est = _lattice_rule(cfg, self.ks, [key], q)[0]
+                    finer, est = _lattice_rule(cfg, self.ks, [g], q)[0]
                     err = min(est, float(np.max(np.abs(finer - c))))
                     c, engine = finer, f"batched (q={q})"
                 if not err <= limit:

@@ -415,6 +415,16 @@ def mellin_integrate(
     return integrate_log(g, math.log(a), math.log(b), spec).value
 
 
+def _constant_one(w) -> float:
+    """The signal 1 of the sentinel ``"one"``; multiplying by it is exact."""
+    return 1.0
+
+
+def _as_signal(h):
+    """``h``, or :func:`_constant_one` for the sentinel ``"one"`` or None."""
+    return _constant_one if h is None or (isinstance(h, str) and h == "one") else h
+
+
 def durrmeyer_coefficient(
     psi,
     k: int,
@@ -427,8 +437,8 @@ def durrmeyer_coefficient(
     """Inner coefficient ``n * int_a^b psi(e^{-k} v^n) h(v) dv/v``.
 
     ``h`` may be a vectorized callable on the positive reals or the sentinel
-    ``"one"`` (equivalently None) for the constant 1, which avoids building a
-    throwaway handle in the denominator path.
+    ``"one"`` (equivalently None) for the constant 1, read as
+    :func:`_constant_one`.
 
     When ``psi`` has bounded support the integration range is clipped, in log
     coordinates, to the preimage of the support; an empty preimage yields an
@@ -454,17 +464,14 @@ def durrmeyer_coefficient(
         if lo >= hi:
             return 0.0
 
-    one = h is None or (isinstance(h, str) and h == "one")
-
-    def f(u: np.ndarray, hu: np.ndarray | None) -> np.ndarray:
-        vals = psi.eval_log(n * u - k)
-        return vals if hu is None else vals * hu
+    def f(u: np.ndarray, hu: np.ndarray) -> np.ndarray:
+        return psi.eval_log(n * u - k) * hu
 
     # The n prefactor is applied after integration; the inner budget is
     # spec.abs_tol / (2n) so the delivered coefficient error stays below
     # abs_tol/2 (linear combinations of coefficients then stay within the
     # documented 2*abs_tol).
-    return n * _integrate_segments(f, None if one else h, lo, hi, spec, divisor=2 * n).value
+    return n * _integrate_segments(f, _as_signal(h), lo, hi, spec, divisor=2 * n).value
 
 
 def _integrate_segments(f, h, lo: float, hi: float, spec: QuadratureSpec,
@@ -476,8 +483,7 @@ def _integrate_segments(f, h, lo: float, hi: float, spec: QuadratureSpec,
     the ``cuts`` of one ``integrate_log`` call to ``spec.abs_tol / divisor``:
     the segments share one panel list and one budget, ``h`` is read strictly
     inside each segment, and the engine is never charged for localizing a
-    known jump.  ``h=None`` stands for no signal: ``f`` receives None and the
-    range is not cut.
+    known jump.
     """
     cuts = sorted({
         math.log(bp) for bp in getattr(h, "breakpoints", ()) or ()
@@ -485,6 +491,6 @@ def _integrate_segments(f, h, lo: float, hi: float, spec: QuadratureSpec,
     })
 
     def g(u: np.ndarray) -> np.ndarray:
-        return f(u, None if h is None else np.asarray(h(np.exp(u)), dtype=float))
+        return f(u, np.asarray(h(np.exp(u)), dtype=float))
 
     return integrate_log(g, lo, hi, QuadratureSpec(spec.abs_tol / divisor), cuts=cuts)

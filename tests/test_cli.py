@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from expsamp import refdata
 from expsamp.cli import ExperimentConfig, main
 
 
@@ -233,10 +234,27 @@ def test_table_empty_n_list_usage_error(runner, tmp_path):
     (["sweep", "--n-list", "3", "--grid-density", "0", "--output", "{tmp}/s.csv"],
      "grid_density"),
     (["kernel", "info", "bspline:2", "--grid-density", "50"], "--grid-density"),
+    # rel > nan is always false: a NaN tolerance would pass any table
+    (["verify", "{ref}", "table5:max_min", "--rel-tol", "nan"], "--rel-tol"),
+    (["verify", "{ref}", "table5:max_min", "--rel-tol", "-0.1"], "--rel-tol"),
+    (["sweep", "--n-list", "5,3", "--output", "{tmp}/s.csv"], "strictly increasing"),
+    (["modular", "--n-list", "5,3", "--phi-function", "power:2", "--output", "{tmp}/m.csv"],
+     "strictly increasing"),
+    (["props", "--cases", "0"], "--cases"),
+    (["table", "--n-list", "3,3", "--output", "{tmp}/t.csv"], "distinct"),
+    (["table", "--n-list", "3", "--points", "0.8,1.5,0.8", "--output", "{tmp}/t.csv"],
+     "distinct"),
+    (["sweep", "--n-list", "3", "--interval", "3:5", "--output", "{tmp}/s.csv"], "is empty"),
+    (["sweep", "--n-list", "3", "--interval", "0.1:0.25", "--output", "{tmp}/s.csv"],
+     "is empty"),
 ], ids=["op-eval-above-b", "op-eval-zero", "op-eval-negative", "table-point-at-b",
-        "sweep-negative-density", "sweep-zero-density", "kernel-info-coarse-grid"])
+        "sweep-negative-density", "sweep-zero-density", "kernel-info-coarse-grid",
+        "verify-nan-tol", "verify-negative-tol", "sweep-n-decreasing",
+        "modular-n-decreasing", "props-zero-cases", "table-repeated-n",
+        "table-repeated-point", "sweep-window-above", "sweep-window-below"])
 def test_bad_values_are_usage_errors(runner, tmp_path, args, message):
-    res = runner.invoke(main, [arg.format(tmp=tmp_path) for arg in args])
+    ref = refdata.reference_path("table5", "max_min")
+    res = runner.invoke(main, [arg.format(tmp=tmp_path, ref=ref) for arg in args])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # click's usage exit, no traceback
     assert message in res.output

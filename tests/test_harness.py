@@ -254,6 +254,26 @@ def test_sweep_validation(b2):
         convergence_sweep("max_product", b2, b2, "h1", [5, 3], grid_density=10)
 
 
+@pytest.mark.parametrize("interval", [(3.0, 5.0), (0.1, 0.25)])
+def test_sweep_rejects_an_empty_window(b2, interval):
+    reads = []
+    h = FunctionHandle(name="recorded", domain=(0.01, 10.0),
+                       evaluator=lambda w: reads.append(w) or np.ones_like(w))
+    with pytest.raises(ValueError, match=r"sweep window .* is empty"):
+        convergence_sweep("max_product", b2, b2, h, [3], grid_density=10, interval=interval)
+    assert reads == []
+
+
+@pytest.mark.parametrize("kind", ["max_product", "max_min"])
+def test_table_and_sweep_share_their_errors(b3, fejer, kind):
+    # a table on the sweep's own grid holds the sweep's per-point errors
+    rep = convergence_sweep(kind, b3, fejer, "h2", [5, 17], grid_density=40)
+    table = build_error_table(kind, b3, fejer, [5, 17], rep.grid.tolist(), which="h2")
+    assert table.entries.tobytes() == rep.per_point.tobytes()
+    assert table.warnings == rep.warnings
+    assert len(table.skipped) == sum(rep.skipped_counts)
+
+
 def test_sweep_sup_error_decreases(b3, fejer):
     rep = convergence_sweep("max_product", b3, fejer, "h1", [17, 35],
                             grid_density=100)
@@ -406,6 +426,14 @@ def test_compare_tables_detects_trend_violation():
     report = compare_tables(prod, ref, rel_tol=10.0)
     assert report.trend_violations
     assert not report.passed
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, -0.25, -math.inf])
+def test_compare_tables_rejects_a_bad_tolerance(rel_tol):
+    # rel > nan is always false, so a NaN tolerance would pass any table
+    ref = refdata.load_reference("table5", "max_min")
+    with pytest.raises(ValueError, match="rel_tol"):
+        compare_tables(ref, ref, rel_tol)
 
 
 def test_compare_tables_schema_mismatch():

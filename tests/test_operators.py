@@ -586,6 +586,12 @@ def test_joint_fill_with_a_fallback_keeps_the_other_batched(jackson, h2):
     assert np.array_equal(c_blind, alone.coefficients(blind))
 
 
+# 12 breakpoints off the lattice: 26 pieces outside the full cells, so the
+# per-node sums over pieces run long enough for their order to matter
+_MANY_STEPS = _steps(tuple(np.geomspace(0.13, 2.7, 12)),
+                     tuple(np.linspace(0.1, 0.9, 13)), name="many-steps")
+
+
 @pytest.mark.parametrize("n", [17, 53])
 @pytest.mark.parametrize("psi_spec", ["jackson:1.05:1", "fejer:pi:0"])
 def test_joint_fill_equals_separate_fills(psi_spec, n, h1, h2, monkeypatch):
@@ -595,7 +601,7 @@ def test_joint_fill_equals_separate_fills(psi_spec, n, h1, h2, monkeypatch):
     eval_log = KernelDescriptor.eval_log
     monkeypatch.setattr(KernelDescriptor, "eval_log",
                         lambda self, x: points.append(np.size(x)) or eval_log(self, x))
-    for h in (h1, h2):
+    for h in (h1, h2, _MANY_STEPS):
         points.clear()
         alone = DurrmeyerEvaluator(cfg)
         want = alone.coefficients("one"), alone.coefficients(h)
@@ -613,6 +619,30 @@ def test_joint_fill_equals_separate_fills(psi_spec, n, h1, h2, monkeypatch):
         points.clear()
         again = ev.coefficients(h, "one", h)
         assert points == [] and again[0] is got[1] and again[1] is got[0]
+
+
+@pytest.mark.parametrize("psi_spec", ["bspline:3", "jackson:1.05:1", "fejer:pi:0"])
+def test_one_is_the_constant_signal(psi_spec):
+    # "one" is read as a plain constant function; any callable returning 1
+    # gives the same vectors bit for bit, batched and per k
+    psi = parse_kernel_spec(psi_spec)
+    cfg = OperatorConfig(phi=bspline_kernel(2), psi=psi, n=17, a=0.1, b=3.0,
+                         quad=QuadratureSpec(abs_tol=1e-9))
+
+    def unit(w):
+        return np.ones(np.shape(w))
+
+    ev = DurrmeyerEvaluator(cfg)
+    c_one, c_unit = ev.coefficients("one", unit)
+    assert ev.engines == {"one": "batched", unit: "batched"}
+    assert c_one.tobytes() == c_unit.tobytes()
+    assert DurrmeyerEvaluator(cfg).coefficients(None).tobytes() == c_one.tobytes()
+    for k in ev.ks[::7]:
+        want = operators.durrmeyer_coefficient(psi, int(k), cfg.n, cfg.a, cfg.b, "one", cfg.quad)
+        assert operators.durrmeyer_coefficient(psi, int(k), cfg.n, cfg.a, cfg.b, unit,
+                                               cfg.quad) == want
+        assert operators.durrmeyer_coefficient(psi, int(k), cfg.n, cfg.a, cfg.b, None,
+                                               cfg.quad) == want
 
 
 def test_null_rules_vanish_below_their_degree():
