@@ -5,7 +5,8 @@ per-config writers as ``table``, ``sweep`` and ``modular``.
 
 Exit-code policy: 0 on success, 1 on operational failure (including a failed
 verification), 2 on usage/parse/schema errors, among them any ``ValueError``
-of a table, sweep or modular run.  Producing a table never fails on value
+that a command's library call raises for an argument it refuses (one place
+reports these, :class:`_Command`).  Producing a table never fails on value
 mismatch; comparison is the separate ``verify`` step.
 """
 
@@ -34,7 +35,7 @@ from .harness import (
     write_sweep_csv,
     write_table_csv,
 )
-from .kernels import KernelSpecError, compute_metrics, parse_kernel_spec
+from .kernels import compute_metrics, parse_kernel_spec
 from .operators import (
     OperatorConfig,
     PreconditionError,
@@ -45,7 +46,6 @@ from .operators import (
 )
 from .orlicz import (
     OrliczOverflowError,
-    PhiSpecError,
     jensen_max_checks,
     modular_convergence_series,
     parse_phi_spec,
@@ -70,6 +70,23 @@ MODULAR_QUAD_TOL = 1e-8
 
 class DataError(click.ClickException):
     exit_code = 2
+
+
+class _Command(click.Command):
+    """A command that reports a library ValueError (an argument it refuses) as a usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx=ctx) from None
+
+
+class _Group(click.Group):
+    """A group whose commands are :class:`_Command` and whose subgroups are ``_Group``."""
+
+    command_class = _Command
+    group_class = type
 
 
 @dataclass
@@ -217,10 +234,7 @@ def _assemble_config(config_path, **flags) -> ExperimentConfig:
             cfg = cfg.with_updates(**{k: getattr(file_cfg, k) for k in present})
         except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
             raise DataError(f"cannot load config {config_path}: {exc}") from None
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    cfg.validate()
     ctx = click.get_current_context()
     accepted = next(p.type.choices for p in ctx.command.params if p.name == "operator")
     if cfg.operator not in accepted:
@@ -267,13 +281,6 @@ def _load_function(spec: str, interval: tuple[float, float]):
                           evaluator=interp)
 
 
-def _kernel(spec: str):
-    try:
-        return parse_kernel_spec(spec)
-    except KernelSpecError as exc:
-        raise click.UsageError(str(exc)) from None
-
-
 def _fmt_exponent(e: float) -> str:
     if e == 1.0:
         return "e"
@@ -289,7 +296,7 @@ def _fmt_support(desc) -> str:
     return f"[{_fmt_exponent(lo)}, {_fmt_exponent(hi)}]"
 
 
-@click.group()
+@click.group(cls=_Group)
 def main() -> None:
     """Durrmeyer-type exponential sampling operators toolkit."""
 
@@ -305,7 +312,7 @@ def kernel() -> None:
 @click.option("--grid-density", type=click.IntRange(min=100), default=10_000, show_default=True)
 def kernel_info(spec: str, as_json: bool, grid_density: int) -> None:
     """Print kernel metrics: K, theta, moments, norm constant, support."""
-    desc = _kernel(spec)
+    desc = parse_kernel_spec(spec)
     metrics = compute_metrics(desc, grid_density=grid_density)
     payload = {
         "kernel": desc.name,
@@ -355,7 +362,7 @@ def op_eval(config_path, order, points, as_json, **flags) -> None:
                                  param_hint="-w")
     h = _load_function(cfg.test_function, cfg.interval)
     ocfg = OperatorConfig(
-        phi=_kernel(cfg.phi), psi=_kernel(cfg.psi), n=cfg.n_list[0],
+        phi=parse_kernel_spec(cfg.phi), psi=parse_kernel_spec(cfg.psi), n=cfg.n_list[0],
         a=cfg.interval[0], b=cfg.interval[1],
         quad=QuadratureSpec(abs_tol=cfg.quad_tol),
     )
@@ -397,14 +404,6 @@ def _write_output(path: Path, fmt: str, echo: dict, rows: list[dict], write_csv,
     write_json_mirror(path, echo, rows, **extra)
 
 
-def _checked(run, *args, **kwargs):
-    """``run(*args, **kwargs)``, a ValueError (an argument it refuses) a usage error."""
-    try:
-        return run(*args, **kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-
-
 def _run_table(cfg: ExperimentConfig) -> dict[str, list]:
     """Build and write the error table of each operator of ``cfg``; returns their rows."""
     operators = ["max_product", "max_min"] if cfg.operator == "both" else [cfg.operator]
@@ -412,10 +411,9 @@ def _run_table(cfg: ExperimentConfig) -> dict[str, list]:
     h = _load_function(cfg.test_function, cfg.interval)
     base, built = Path(cfg.output), {}
     for oper in operators:
-        table = _checked(
-            build_error_table, oper, cfg.phi, cfg.psi, cfg.n_list, points,
-            interval=cfg.interval, quad=QuadratureSpec(abs_tol=cfg.quad_tol), which=h,
-        )
+        table = build_error_table(oper, cfg.phi, cfg.psi, cfg.n_list, points,
+                                  interval=cfg.interval,
+                                  quad=QuadratureSpec(abs_tol=cfg.quad_tol), which=h)
         rows = built[oper] = table.rows()
         out = base if len(operators) == 1 else base.with_name(f"{base.stem}_{oper}{base.suffix}")
         _write_output(out, cfg.format, dict(cfg.to_dict(), operator=oper),
@@ -429,8 +427,8 @@ def _run_table(cfg: ExperimentConfig) -> dict[str, list]:
 def _run_sweep(cfg: ExperimentConfig) -> None:
     """Run and write the sup-error sweep of ``cfg``, per-point errors in the JSON."""
     h = _load_function(cfg.test_function, cfg.interval)
-    report = _checked(
-        convergence_sweep, cfg.operator, cfg.phi, cfg.psi, h, cfg.n_list,
+    report = convergence_sweep(
+        cfg.operator, cfg.phi, cfg.psi, h, cfg.n_list,
         grid_density=SWEEP_GRID_DENSITY if cfg.grid_density is None else cfg.grid_density,
         interval=cfg.interval,
         quad=QuadratureSpec(abs_tol=cfg.quad_tol),
@@ -449,18 +447,15 @@ def _run_modular(cfg: ExperimentConfig) -> None:
     """Compute and write the modular distance series of ``cfg``."""
     if cfg.phi_function is None:
         raise click.UsageError("modular needs --phi-function")
-    try:
-        gauge = parse_phi_spec(cfg.phi_function)
-    except PhiSpecError as exc:
-        raise click.UsageError(str(exc)) from None
+    gauge = parse_phi_spec(cfg.phi_function)
     h = _load_function(cfg.test_function, cfg.interval)
     template = OperatorConfig(
-        phi=_kernel(cfg.phi), psi=_kernel(cfg.psi), n=min(cfg.n_list),
+        phi=parse_kernel_spec(cfg.phi), psi=parse_kernel_spec(cfg.psi), n=min(cfg.n_list),
         a=cfg.interval[0], b=cfg.interval[1], quad=QuadratureSpec(abs_tol=cfg.quad_tol),
     )
     try:
-        series = _checked(modular_convergence_series, gauge, cfg.operator, h, template,
-                          cfg.n_list, lam=cfg.lam)
+        series = modular_convergence_series(gauge, cfg.operator, h, template, cfg.n_list,
+                                            lam=cfg.lam)
     except OrliczOverflowError as exc:
         raise click.ClickException(str(exc)) from None
 

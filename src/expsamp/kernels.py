@@ -340,11 +340,13 @@ def compute_metrics(kernel: KernelDescriptor, grid_density: int = 10_000) -> Ker
     golden-section pass around the best grid point.  Discrete moments use the
     reduction of the supremum over all w > 0 to ``log w in [0, 1]``, which is
     exact because the shift set ``{k - log w : k in Z}`` is 1-periodic in
-    ``log w``.
+    ``log w``.  The line mass comes first, so a kernel it refuses (a Fejer
+    kernel with ``t != 0``) raises its ValueError before any integral runs.
     """
     if grid_density < 100:
         raise ValueError("grid_density must be at least 100")
 
+    l1 = kernel_line_mass(kernel)
     spec = QuadratureSpec(abs_tol=1e-11)
     K = integrate_log(lambda x: kernel.eval_log(x), 0.0, 1.0, spec).value
 
@@ -378,7 +380,6 @@ def compute_metrics(kernel: KernelDescriptor, grid_density: int = 10_000) -> Ker
             QuadratureSpec(abs_tol=1e-9),
         ).value
 
-    l1 = kernel_line_mass(kernel)
     return KernelMetrics(K=K, theta=theta, discrete_moment=discrete,
                          continuous_moment=continuous, l1_norm=l1)
 

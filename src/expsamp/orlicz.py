@@ -227,28 +227,25 @@ def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -
     ``h`` is read once at the rule's nodes, and the whole search runs on
     the frozen modular ``sum_j w_j zeta(|h_j| / l)``, without further
     integrals.  Two adaptive modulars then confirm the proposed bracket,
-    ``f(hi) <= 0 < f(lo)``.  Where a side fails, the search continues on
-    adaptive modulars from the failed end, widening outward by steps of
-    ``tol`` that double until the signs straddle, and closes that bracket
-    the same way.  Without a rule (the first modular overflowed, or its
-    quadrature failed far above 1) every trial is an adaptive modular from
-    ``l = 1``.  Either way the returned upper end, a zero norm and an
+    ``f(hi) <= 0 < f(lo)``, at each end other than ``lo = 0`` and
+    ``hi = inf``.  Where a side fails, one search on adaptive modulars
+    continues from the failed end, widening outward by steps of ``tol``
+    that double until the signs straddle, and closes that bracket the same
+    way.  Without a rule (the first modular overflowed, or its quadrature
+    failed far above 1) that search starts at ``l = 1`` with step 1.
+    Either way the returned upper end, a zero norm and an
     UnboundedNormError all rest on adaptive modulars: the norm lies in
     ``(hi - tol, hi]`` up to the modular's quadrature error.
 
-    Identically-zero handles (detected on a 1001-point probe grid) have
-    norm 0, and so do handles whose modular stays at most 1 down to scalings
-    of ``2**-64``; bracket growth past ``2**64`` raises UnboundedNormError.
-    A handle with non-finite values raises ValueError.
+    ``h`` is read only by the modulars and at the rule's nodes.  A handle
+    whose modular stays at most 1 down to scalings of ``2**-64`` (the zero
+    handle among them) has norm 0; bracket growth past ``2**64`` raises
+    UnboundedNormError.  A handle with non-finite values raises ValueError.
     """
     if not (0 < a < b < math.inf):
         raise ValueError(f"need 0 < a < b < inf, got a={a}, b={b}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
-    probe = np.exp(np.linspace(math.log(a), math.log(b), 1001))
-    if float(np.max(np.abs(np.asarray(h(probe), dtype=float)))) == 0.0:
-        return 0.0
-
     spec = QuadratureSpec(abs_tol=min(1e-10, tol * 1e-3))
 
     def adaptive(ell: float):
@@ -270,30 +267,27 @@ def luxemburg_norm(phi: PhiFunction, h, a: float, b: float, tol: float = 1e-9) -
         return adaptive(ell)[0]
 
     f_one, rule = adaptive(1.0)
-    if rule is None:
-        return _norm(*_bracket_root(excess, 1.0, f_one, 1.0, tol))
+    start = 1.0, f_one, 1.0
+    if rule is not None:
+        nodes, weights = rule()
+        hv = np.abs(np.asarray(h(np.exp(nodes)), dtype=float))
 
-    nodes, weights = rule()
-    hv = np.abs(np.asarray(h(np.exp(nodes)), dtype=float))
+        def frozen(ell: float) -> float:
+            try:
+                with np.errstate(over="ignore"):
+                    value = float(weights @ phi((1.0 / ell) * hv))
+            except OrliczOverflowError:
+                return math.inf
+            return value - 1.0 if math.isfinite(value) else math.inf
 
-    def frozen(ell: float) -> float:
-        try:
-            with np.errstate(over="ignore"):
-                value = float(weights @ phi((1.0 / ell) * hv))
-        except OrliczOverflowError:
-            return math.inf
-        return value - 1.0 if math.isfinite(value) else math.inf
-
-    lo, hi = _bracket_root(frozen, 1.0, f_one, 1.0, tol)
-    if hi < math.inf:
-        f_hi = excess(hi)
-        if f_hi > 0:
-            return _norm(*_bracket_root(excess, hi, f_hi, tol, tol))
-    if lo > 0:
-        f_lo = excess(lo)
-        if f_lo <= 0:
-            return _norm(*_bracket_root(excess, lo, f_lo, tol, tol))
-    return _norm(lo, hi)
+        lo, hi = _bracket_root(frozen, 1.0, f_one, 1.0, tol)
+        if hi < math.inf and (f_hi := excess(hi)) > 0:
+            start = hi, f_hi, tol
+        elif lo > 0 and (f_lo := excess(lo)) <= 0:
+            start = lo, f_lo, tol
+        else:
+            return _norm(lo, hi)
+    return _norm(*_bracket_root(excess, *start, tol))
 
 
 def _norm(lo: float, hi: float) -> float:

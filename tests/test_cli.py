@@ -247,11 +247,15 @@ def test_table_empty_n_list_usage_error(runner, tmp_path):
     (["sweep", "--n-list", "3", "--interval", "3:5", "--output", "{tmp}/s.csv"], "is empty"),
     (["sweep", "--n-list", "3", "--interval", "0.1:0.25", "--output", "{tmp}/s.csv"],
      "is empty"),
+    (["op", "eval", "--operator", "max_product", "-n", "3", "-w", "1", "--function", "h2",
+      "--interval", "0.25:4"], "does not cover"),
+    (["kernel", "info", "fejer:pi:1"], "t = 0"),
 ], ids=["op-eval-above-b", "op-eval-zero", "op-eval-negative", "table-point-at-b",
         "sweep-negative-density", "sweep-zero-density", "kernel-info-coarse-grid",
         "verify-nan-tol", "verify-negative-tol", "sweep-n-decreasing",
         "modular-n-decreasing", "props-zero-cases", "table-repeated-n",
-        "table-repeated-point", "sweep-window-above", "sweep-window-below"])
+        "table-repeated-point", "sweep-window-above", "sweep-window-below",
+        "op-eval-signal-domain", "kernel-info-fejer-nonzero-t"])
 def test_bad_values_are_usage_errors(runner, tmp_path, args, message):
     ref = refdata.reference_path("table5", "max_min")
     res = runner.invoke(main, [arg.format(tmp=tmp_path, ref=ref) for arg in args])

@@ -224,6 +224,9 @@ def test_fejer_nonzero_t_line_mass_rejected():
     k = fejer_kernel(math.pi, 0.5)
     with pytest.raises(ValueError):
         kernel_line_mass(k)
+    # refused before the moment integrals, where e^{512 t} exhausts the panels
+    with pytest.raises(ValueError, match="t = 0"):
+        compute_metrics(k)
 
 
 def test_jackson_descriptor_caches_norm_constant():

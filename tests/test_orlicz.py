@@ -181,8 +181,6 @@ def test_luxemburg_unit_constant():
         assert got == pytest.approx(1.0, abs=1e-8)
 
 
-def test_luxemburg_zero_handle():
-    assert luxemburg_norm(parse_phi_spec("power:2"), _const(0.0), 1.0, math.e) == 0.0
 
 
 def test_luxemburg_unbounded_bracket():
@@ -250,6 +248,29 @@ def modular_calls(monkeypatch):
 
     monkeypatch.setattr(orlicz, "modular", counted)
     return calls
+
+
+def test_luxemburg_zero_handle(modular_calls):
+    # the frozen search walks down to its lower exit, lo = 0, and one
+    # adaptive modular confirms its upper end
+    for spec_text in ("power:2", "exppower:1", "powerlog:1:1"):
+        modular_calls.clear()
+        assert luxemburg_norm(parse_phi_spec(spec_text), _const(0.0), 1.0, math.e) == 0.0
+        assert len(modular_calls) == 2, spec_text
+
+
+def test_luxemburg_narrow_step():
+    # a step of height 5 on a thousandth of [1, e] in log w, strictly
+    # between two points of an equispaced 1001-point grid in log w
+    grid = np.exp(np.linspace(0.0, 1.0, 1001))
+    edges = [1.0, grid[500] * (1 + 1e-5), grid[501] * (1 - 1e-5), math.e]
+    values = [0.0, 5.0, 0.0]
+    h = step_handle(edges, values, edges[1:3])
+    gauge, tol = parse_phi_spec("power:2"), 1e-9
+    ell = luxemburg_norm(gauge, h, 1.0, math.e, tol=tol)
+    want = _closed_form_norm(gauge, edges, values)
+    assert want == pytest.approx(0.1565247584, abs=1e-10)
+    assert ell - tol < want <= ell
 
 
 def test_luxemburg_non_finite_signal_raises(modular_calls):
@@ -405,7 +426,7 @@ def test_luxemburg_continues_past_a_wrong_proposal(skew, spec_text, modular_call
     pytest.param(1.0, math.e, math.inf, "tol must be a positive finite number", id="tol-inf"),
 ])
 def test_luxemburg_rejects_bad_arguments(a, b, tol, match):
-    # checked before the probe grid reads h
+    # checked before any modular reads h
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
