@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,6 +159,19 @@ def _resolve_kernel(spec) -> KernelDescriptor:
     return spec if isinstance(spec, KernelDescriptor) else parse_kernel_spec(spec)
 
 
+def _orders(n_values) -> list[int]:
+    """The orders ``n_values`` as ints; ``ValueError`` unless they are a
+    nonempty list of integral numbers.  Each driver checks its own order rule
+    on the result."""
+    orders = list(n_values)
+    if not orders:
+        raise ValueError("the list of orders n is empty")
+    for n in orders:
+        if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+            raise ValueError(f"every order n must be an integer, got {n!r}")
+    return [int(n) for n in orders]
+
+
 # ---------------------------------------------------------------------------
 # Error tables
 # ---------------------------------------------------------------------------
@@ -203,7 +217,7 @@ def _grid_errors(operator_kind, phi_spec, psi_spec, which, n_values, ws, interva
         vals, skipped[i] = ev.eval_grid(operator_kind, h, ws)
         errors[i] = np.abs(vals - href)
     warning = ev.range_warning(h) if operator_kind == "max_min" and not skipped.all() else None
-    return ((phi.name, psi.name), getattr(h, "name", "custom"), errors, skipped,
+    return ((phi.name, psi.name), h.name, errors, skipped,
             [] if warning is None else [warning])
 
 
@@ -221,14 +235,13 @@ def build_error_table(
 
     One ``eval_grid`` call per n, in the loop :func:`convergence_sweep`
     shares; skipped cells hold NaN, and a max-min table keeps ``h``'s
-    ``range_warning``.  A repeated n or point is a ``ValueError``.
+    ``range_warning``.  An empty or non-integral n list, or a repeated n or
+    point, is a ``ValueError``.
     """
     if operator_kind not in ("max_product", "max_min"):
         raise ValueError(f"unknown operator kind {operator_kind!r}")
-    n_values = [int(n) for n in n_values]
+    n_values = _orders(n_values)
     points = [float(p) for p in points]
-    if not n_values:
-        raise ValueError("n_values must be nonempty")
     if len(set(n_values)) < len(n_values) or len(set(points)) < len(points):
         raise ValueError("n_values and points must be distinct: one cell per (n, point)")
     a, b = interval
@@ -270,13 +283,17 @@ def convergence_sweep(
     """Sup-error of D_n over a log-spaced interior grid, for each n.
 
     The grid covers [max(a, 0.3), min(b, 2.9)] to keep clear of edge-skip
-    noise; an interval that leaves that window empty is a ``ValueError``.
-    Skipped points are excluded from the supremum and counted.  A max-min
-    sweep keeps ``h``'s ``range_warning``, as a table does.
+    noise; an interval that leaves that window empty, a ``grid_density``
+    that is not a positive integer, or an n list that is empty, not
+    integral or not strictly increasing is a ``ValueError``.  Skipped points
+    are excluded from the supremum and counted.  A max-min sweep keeps
+    ``h``'s ``range_warning``, as a table does.
     """
-    n_values = [int(n) for n in n_values]
+    n_values = _orders(n_values)
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
+    if not (isinstance(grid_density, numbers.Integral) and grid_density >= 1):
+        raise ValueError(f"grid_density must be a positive integer, got {grid_density!r}")
     a, b = interval
     lo, hi = max(a, 0.3), min(b, 2.9)
     if not lo < hi:
@@ -381,6 +398,9 @@ def write_json_mirror(path, config_echo: dict, rows: list[dict], **extra) -> Non
 
 
 def read_table_csv(path) -> list[TableRow]:
+    """The rows of a table CSV.  A wrong header, a malformed row or an
+    unskipped row whose ``abs_error`` is not finite (a NaN passes every
+    comparison) is a :class:`SchemaMismatchError`."""
     rows = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -393,12 +413,16 @@ def read_table_csv(path) -> list[TableRow]:
             if len(line) != 4:
                 raise SchemaMismatchError(f"malformed row {line!r} in {path}")
             try:
-                rows.append(TableRow(
+                row = TableRow(
                     n=int(line[0]), point=float(line[1]),
                     abs_error=float(line[2]), skipped=bool(int(line[3])),
-                ))
+                )
             except ValueError as exc:
                 raise SchemaMismatchError(f"malformed row {line!r} in {path}: {exc}") from None
+            if not (row.skipped or math.isfinite(row.abs_error)):
+                raise SchemaMismatchError(f"unskipped row {line!r} in {path} has a "
+                                          f"non-finite abs_error")
+            rows.append(row)
     if not rows:
         raise SchemaMismatchError(f"no data rows in {path}")
     return rows

@@ -48,6 +48,7 @@ between the points where a maximum changes its maximising k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -135,8 +136,8 @@ class OperatorConfig:
     quad: QuadratureSpec = QuadratureSpec()
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        if not (isinstance(self.n, numbers.Real) and self.n >= 1):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not (self.a > 0 and math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError(f"need 0 < a < b < inf, got a={self.a}, b={self.b}")
         if not self.a < self.b:
@@ -374,9 +375,8 @@ class DurrmeyerEvaluator:
         cfg, grace = self.cfg, 1e-12
         inside = (ws >= cfg.a * (1 - grace)) & (ws <= cfg.b * (1 + grace))
         if not inside.all():
-            if not np.all(ws > 0):
-                raise ValueError("evaluation points must be positive numbers")
-            raise ValueError(f"evaluation point {ws[~inside][0]} outside [{cfg.a}, {cfg.b}]")
+            raise ValueError(f"evaluation point {ws[~inside][0]:g} is outside the interval "
+                             f"[{cfg.a:g}, {cfg.b:g}]; points must be positive and lie in it")
 
     def _assemble(self, kind: str, h, x: np.ndarray):
         """The operator at the points x = n log w, read on phi's band of k.
@@ -643,19 +643,15 @@ def maxmin_algebra_checks(seed: int, cases: int) -> PropertyReport:
 def denominator_lower_bound_check(cfg: OperatorConfig, w_grid) -> PropertyReport:
     """Verify D(w) >= K * theta - 1e-8 on a grid of evaluation points.
 
-    Preconditions (raised as :class:`PreconditionError`, not reported as
-    violations): phi must have a strictly positive infimum over [1, e] and
-    the interval must satisfy b/a > e^(1/n).
+    Precondition (raised as :class:`PreconditionError`, not reported as a
+    violation): phi must have a strictly positive infimum over [1, e].  The
+    other, b/a > e^(1/n), holds for every :class:`OperatorConfig`.
     """
     theta = compute_metrics(cfg.phi).theta
     if not theta > 0:
         raise PreconditionError(
             f"phi kernel {cfg.phi.name} has theta = {theta}; the bound requires theta > 0"
         )
-    # OperatorConfig already enforces b/a > e^(1/n); re-check to keep this
-    # entry point meaningful for duck-typed configs.
-    if not math.log(cfg.b / cfg.a) > 1.0 / cfg.n:
-        raise PreconditionError("need b/a > e^(1/n)")
     K = compute_metrics(cfg.psi).K
     bound = K * theta - 1e-8
 

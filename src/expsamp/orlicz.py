@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .harness import FunctionHandle
+from .harness import FunctionHandle, _orders
 from .operators import OperatorConfig, PropertyReport, get_evaluator
 # no function here calls integrate_log, but perfbench's tracer wraps
 # orlicz.integrate_log, so it stays imported
@@ -429,9 +429,11 @@ def modular_convergence_series(
     the pieces' ends, where a maximum changes its maximising k or phi has a
     knot.  Phi without bounded support adds no cuts.  Nodes with a
     degenerate denominator count as error 0 and are counted in the per-n
-    report.  The reports carry no quadrature rule (``rule`` is None).
+    report.  The reports carry no quadrature rule (``rule`` is None).  An n
+    list that is empty, not integral or not strictly increasing is a
+    ``ValueError``.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = _orders(n_list)
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     out = []

@@ -47,12 +47,8 @@ def test_experiment_config_roundtrip():
 
 
 def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(n_list=[]).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(interval=(-1.0, 2.0)).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(n_list=[1], interval=(1.0, math.e)).validate()
+    # the values themselves are the library's to check (see
+    # test_bad_config_values_are_usage_errors)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"no_such_field": 1})
 
@@ -265,6 +261,64 @@ def test_bad_values_are_usage_errors(runner, tmp_path, args, message):
     assert not list(tmp_path.iterdir())
 
 
+# Each row runs an otherwise valid command on --n-list 3 --interval 1:7.389
+# (a table at --points 1.5) with the config file's fields, so only they fail.
+_CONFIG_COMMANDS = {
+    "table": ["--points", "1.5"],
+    "sweep": [],
+    "modular": ["--phi-function", "power:2"],
+}
+
+
+_CONFIG_ROWS = [
+    # 2.5 ran as n = 2
+    ("fraction-n", {"n_list": [2.5]}, "an integer, got 2.5", _CONFIG_COMMANDS),
+    # a TypeError traceback, exit 1
+    ("text-quad-tol", {"quad_tol": "x"}, "could not convert", _CONFIG_COMMANDS),
+    ("text-lambda", {"lambda": "x"}, "could not convert", _CONFIG_COMMANDS),
+    # a numpy TypeError, exit 1
+    ("fraction-grid-density", {"grid_density": 2.5}, "grid_density", ["sweep"]),
+    ("empty-n-list", {"n_list": []}, "is empty", _CONFIG_COMMANDS),
+    ("text-n", {"n_list": ["a", 3]}, "got 'a'", _CONFIG_COMMANDS),
+    ("negative-a", {"interval": [-1, 2]}, "0 < a < b", _CONFIG_COMMANDS),
+    ("n-1-on-1-e", {"n_list": [1], "interval": [1, math.e]}, "interval too short",
+     _CONFIG_COMMANDS),
+    ("unknown-format", {"format": "xml"}, "needs a single format", ["table", "sweep"]),
+]
+
+
+@pytest.mark.parametrize("command, fields, message", [
+    pytest.param(command, fields, message, id=f"{command}-{name}")
+    for name, fields, message, commands in _CONFIG_ROWS for command in commands
+])
+def test_bad_config_values_are_usage_errors(runner, tmp_path, command, fields, message):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(fields))
+    res = runner.invoke(main, [
+        command, "--n-list", "3", "--interval", "1:7.389", *_CONFIG_COMMANDS[command],
+        "--output", str(tmp_path / "out.csv"), "--config", str(cfgfile),
+    ])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # click's usage exit, no traceback
+    assert message in res.output
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("side", ["produced", "reference"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_verify_refuses_a_non_finite_cell(runner, tmp_path, side, bad):
+    # a NaN cell passed even at --rel-tol 0, as did an inf reference
+    res, out = _make_table(runner, tmp_path)
+    lines = out.read_text().splitlines()
+    n, p, _, skipped = lines[1].split(",")
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join([lines[0], ",".join([n, p, bad, skipped]), *lines[2:]]) + "\n")
+    pair = [str(broken), str(out)] if side == "produced" else [str(out), str(broken)]
+    res = runner.invoke(main, ["verify", *pair, "--rel-tol", "0"])
+    assert res.exit_code == 2, res.output
+    assert "non-finite abs_error" in res.output
+
+
 def test_verify_self_is_exact(runner, tmp_path):
     res, out = _make_table(runner, tmp_path)
     res = runner.invoke(main, ["verify", str(out), str(out), "--rel-tol", "0"])
@@ -435,7 +489,7 @@ def test_custom_function_from_samples(runner, tmp_path):
     (["0.5,0.5", "2.0,nan", "8.0,0.5"], "NaN"),
     (["0.5,0.5", "nan,0.5", "8.0,0.5"], "NaN"),
     (["0.5,0.5", "2.0,0.5", "2.0,0.6", "8.0,0.5"], "duplicate"),
-    (["2.0,0.5", "4.0,0.5", "8.0,0.5"], "sample range"),
+    (["2.0,0.5", "4.0,0.5", "8.0,0.5"], "does not cover"),
     (["0.5,0.5", "2.0,inf", "8.0,0.5"], "NaN"),
     (["0.5,0.5", "2.0,0.5", "inf,0.5"], "NaN"),
 ], ids=["nan-value", "nan-abscissa", "duplicate-abscissa", "interval-outside-samples",

@@ -254,13 +254,45 @@ def test_sweep_validation(b2):
         convergence_sweep("max_product", b2, b2, "h1", [5, 3], grid_density=10)
 
 
+def _recorded(reads):
+    return FunctionHandle(name="recorded", domain=(0.01, 10.0),
+                          evaluator=lambda w: reads.append(w) or np.ones_like(w))
+
+
+@pytest.mark.parametrize("grid_density", [0, 2.5, -5])
+def test_sweep_refuses_a_bad_grid_density(b2, grid_density):
+    reads = []
+    with pytest.raises(ValueError, match="grid_density must be a positive integer"):
+        convergence_sweep("max_product", b2, b2, _recorded(reads), [3],
+                          grid_density=grid_density)
+    assert reads == []
+
+
+# an empty list built an empty table or sweep; 2.5 ran as n = 2
+BAD_N_LISTS = pytest.mark.parametrize("n_values, message", [
+    ([], "is empty"), ([2.5], "an integer, got 2.5"), ([3, 4.5], "an integer, got 4.5"),
+], ids=["empty", "fraction", "second-fraction"])
+
+
+@BAD_N_LISTS
+@pytest.mark.parametrize("driver", ["table", "sweep"])
+def test_table_and_sweep_refuse_bad_n_lists(b2, driver, n_values, message):
+    reads = []
+    with pytest.raises(ValueError, match=message):
+        if driver == "table":
+            build_error_table("max_product", b2, b2, n_values, [1.5], which=_recorded(reads))
+        else:
+            convergence_sweep("max_product", b2, b2, _recorded(reads), n_values,
+                              grid_density=10)
+    assert reads == []
+
+
 @pytest.mark.parametrize("interval", [(3.0, 5.0), (0.1, 0.25)])
 def test_sweep_rejects_an_empty_window(b2, interval):
     reads = []
-    h = FunctionHandle(name="recorded", domain=(0.01, 10.0),
-                       evaluator=lambda w: reads.append(w) or np.ones_like(w))
     with pytest.raises(ValueError, match=r"sweep window .* is empty"):
-        convergence_sweep("max_product", b2, b2, h, [3], grid_density=10, interval=interval)
+        convergence_sweep("max_product", b2, b2, _recorded(reads), [3], grid_density=10,
+                          interval=interval)
     assert reads == []
 
 

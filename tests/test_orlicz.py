@@ -520,6 +520,19 @@ def test_modular_series_requires_increasing_n(b2):
                                    _const(0.4), cfg, [5, 3])
 
 
+@pytest.mark.parametrize("n_list, message", [
+    ([], "is empty"), ([2.5], "an integer, got 2.5"), ([3, 4.5], "an integer, got 4.5"),
+], ids=["empty", "fraction", "second-fraction"])
+def test_modular_series_refuses_bad_n_lists(b2, n_list, message):
+    # an empty list gave an empty series; 2.5 ran as n = 2
+    cfg = OperatorConfig(phi=b2, psi=b2, n=2, a=1.0, b=math.e**2)
+    reads = []
+    with pytest.raises(ValueError, match=message):
+        modular_convergence_series(parse_phi_spec("power:2"), "max_product",
+                                   lambda w: reads.append(w) or _const(0.4)(w), cfg, n_list)
+    assert reads == []
+
+
 def test_modular_series_h2_non_increasing(b2, jackson, h2):
     # subset of the published n grid; the full series is exercised by the
     # acceptance suite and `expsamp reproduce modular`
