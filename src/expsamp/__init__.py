@@ -40,11 +40,9 @@ from .orlicz import (
     OrliczOverflowError,
     UnboundedNormError,
     ModularReport,
-    Delta2Report,
     parse_phi_spec,
     modular,
     luxemburg_norm,
-    delta2_probe,
     modular_convergence_series,
     jensen_max_checks,
 )

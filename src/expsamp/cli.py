@@ -28,6 +28,7 @@ from .harness import (
     DEFAULT_INTERVAL,
     FunctionHandle,
     SchemaMismatchError,
+    _orders,
     build_error_table,
     compare_tables,
     convergence_sweep,
@@ -124,6 +125,9 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**d)
+        for name in ("test_function", "phi_function", "output"):
+            if not isinstance(getattr(cfg, name), (str, type(None))):
+                raise ValueError(f"{name} must be text, got {getattr(cfg, name)!r}")
         return dataclasses.replace(
             cfg,
             n_list=list(cfg.n_list),
@@ -421,14 +425,14 @@ def _run_modular(cfg: ExperimentConfig) -> None:
         raise click.UsageError("modular needs --phi-function")
     gauge = parse_phi_spec(cfg.phi_function)
     h = _load_function(cfg.test_function)
-    # the series sets each n itself, and refuses an empty or unordered list
+    # the rows name the orders as run; the series refuses an unordered list
+    orders = _orders(cfg.n_list)
     template = OperatorConfig(
-        phi=parse_kernel_spec(cfg.phi), psi=parse_kernel_spec(cfg.psi),
-        n=cfg.n_list[0] if cfg.n_list else 1,
+        phi=parse_kernel_spec(cfg.phi), psi=parse_kernel_spec(cfg.psi), n=orders[0],
         a=cfg.interval[0], b=cfg.interval[1], quad=QuadratureSpec(abs_tol=cfg.quad_tol),
     )
     try:
-        series = modular_convergence_series(gauge, cfg.operator, h, template, cfg.n_list,
+        series = modular_convergence_series(gauge, cfg.operator, h, template, orders,
                                             lam=cfg.lam)
     except OrliczOverflowError as exc:
         raise click.ClickException(str(exc)) from None
@@ -436,7 +440,7 @@ def _run_modular(cfg: ExperimentConfig) -> None:
     def write_csv(path):
         with open(path, "w", encoding="utf-8") as f:
             f.write("n,modular_value,lambda\n")
-            for n, rep in zip(cfg.n_list, series):
+            for n, rep in zip(orders, series):
                 f.write(f"{n},{rep.modular_value:.6g},{rep.lam:g}\n")
 
     out = Path(cfg.output)
@@ -444,7 +448,7 @@ def _run_modular(cfg: ExperimentConfig) -> None:
         {"n": n, "modular_value": rep.modular_value, "lambda": rep.lam,
          "skipped_nodes": rep.skipped_nodes, "error_estimate": rep.error_estimate,
          "error_bound": rep.error_bound}
-        for n, rep in zip(cfg.n_list, series)
+        for n, rep in zip(orders, series)
     ], write_csv)
     click.echo(f"wrote {out} ({len(series)} rows)")
 

@@ -19,8 +19,9 @@ the same key can only install identical arrays, never torn ones.
 
 A fill computes the whole vector at once.  In u = log v every integrand
 psi(e^{-k} v^n) = psi.eval_log(n u - k) is one function shifted by k/n, so a
-composite Gauss-Legendre rule on the lattice of step 1/(4n) in u, which holds
-the knots of every B-spline psi, serves all k with shared psi values
+composite Gauss-Legendre rule on the lattice of step 1/(2n) in u, the
+coarsest that holds the knots of every B-spline psi (n u - k in Z/2 covers
+odd orders), serves all k with shared psi values
 (:func:`_lattice_rule`).  The rule is exact for B-spline psi against
 piecewise-polynomial h with declared breakpoints and converges fast for the
 analytic sinc-type kernels.  The vector is the sum of its Gauss nodes'
@@ -84,12 +85,14 @@ _DENOMINATOR_FLOOR = 1e-300
 _GRID_BLOCK = 4096
 
 # Gauss-Legendre nodes per lattice cell in a batched coefficient fill, and
-# the largest q of a lattice step 1/(q n) before the per-k fallback.
+# the first and the largest q of a lattice step 1/(q n) before the per-k
+# fallback.
 _LATTICE_NODES = 16
+_LATTICE_START_Q = 2
 _LATTICE_MAX_Q = 128
 
 # Kernel values per psi table block in a batched coefficient fill (a
-# signal's cut cells read about pieces/q times as many); the kernels'
+# signal's cut cells read about pieces/(2q) times as many); the kernels'
 # temporaries then stay a few hundred KB however large n is.
 _PSI_BLOCK = 4096
 
@@ -281,7 +284,7 @@ class DurrmeyerEvaluator:
     """Coefficient cache plus vectorized evaluation for one config.
 
     ``engines`` records, per cached handle, which engine filled its
-    coefficients: ``"batched"`` (the q = 4 lattice), ``"batched (q=N)"``
+    coefficients: ``"batched"`` (the q = 2 lattice), ``"batched (q=N)"``
     after escalation, or ``"adaptive: <reason>"``.
     """
 
@@ -302,9 +305,9 @@ class DurrmeyerEvaluator:
         tuple of both, in order; ``"one"`` (or None) is the constant signal
         ``quadrature._constant_one``.  The handles not yet cached are filled
         together by one :func:`_lattice_rule` pass on the lattice of step
-        1/(4n), which reads psi once for all of them and checks each vector
+        1/(2n), which reads psi once for all of them and checks each vector
         by Gauss null rules.  A handle whose estimate exceeds abs_tol/(2n)
-        is refilled alone at q = 8, 16, ..., 128 until the estimate, or the
+        is refilled alone at q = 4, 8, ..., 128 until the estimate, or the
         difference from the previous q, meets that limit; failing that, its
         coefficients are recomputed by the per-k adaptive
         ``durrmeyer_coefficient`` and the reason is logged at INFO on the
@@ -326,8 +329,9 @@ class DurrmeyerEvaluator:
                     f"{domain[1]:g}], which does not cover [{cfg.a:g}, {cfg.b:g}]")
         if missing:
             limit = cfg.quad.abs_tol / (2 * cfg.n)
-            for key, g, (c, est) in zip(missing, signals, _lattice_rule(cfg, self.ks, signals, 4)):
-                q, engine, err = 4, "batched", est
+            first = _lattice_rule(cfg, self.ks, signals, _LATTICE_START_Q)
+            for key, g, (c, est) in zip(missing, signals, first):
+                q, engine, err = _LATTICE_START_Q, "batched", est
                 while not err <= limit and q < _LATTICE_MAX_Q:
                     q *= 2
                     finer, est = _lattice_rule(cfg, self.ks, [g], q)[0]

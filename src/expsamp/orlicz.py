@@ -36,11 +36,9 @@ __all__ = [
     "OrliczOverflowError",
     "UnboundedNormError",
     "ModularReport",
-    "Delta2Report",
     "parse_phi_spec",
     "modular",
     "luxemburg_norm",
-    "delta2_probe",
     "modular_convergence_series",
     "jensen_max_checks",
 ]
@@ -361,53 +359,6 @@ def _bracket_root(excess: Callable[[float], float], x: float, f_x: float, step: 
                 f_lo *= 0.5
             kept = -1
     return lo, hi
-
-
-@dataclass
-class Delta2Report:
-    family: str
-    sup_ratio: float
-    at_v: float
-    declared: str
-    declared_constant: float | None
-    within_declared: bool | None
-    diverges: bool
-
-
-def delta2_probe(phi: PhiFunction, v_grid) -> Delta2Report:
-    """Report the doubling ratio zeta(2v)/zeta(v) over a grid.
-
-    The grid must span at least [1e-3, 1e3].  For the power and power-log
-    families the supremum is compared against the declared doubling constant;
-    for the exponential family the report records divergence instead (the
-    ratio increases monotonically along the upper grid and exceeds any fixed
-    constant).
-    """
-    grid = np.asarray(sorted(float(v) for v in v_grid), dtype=float)
-    if grid.size == 0 or grid.min() > 1e-3 or grid.max() < 1e3:
-        raise ValueError("v_grid must span at least [1e-3, 1e3]")
-
-    ratios = np.empty_like(grid)
-    for i, v in enumerate(grid):
-        try:
-            ratios[i] = float(phi(2.0 * v)) / float(phi(v))
-        except OrliczOverflowError:
-            ratios[i] = math.inf
-    sup = float(np.max(ratios))
-    at = float(grid[int(np.argmax(ratios))])
-
-    declared_m = phi.delta2_constant
-    within = None
-    if declared_m is not None:
-        within = bool(sup <= declared_m * (1.0 + 1e-12))
-    upper = ratios[grid >= 1.0]
-    finite = upper[np.isfinite(upper)]
-    increasing = finite.size < 2 or bool(np.all(np.diff(finite) >= 0))
-    diverges = bool(increasing and sup > 1e6) if upper.size >= 2 else False
-    return Delta2Report(
-        family=phi.family, sup_ratio=sup, at_v=at, declared=phi.delta2,
-        declared_constant=declared_m, within_declared=within, diverges=diverges,
-    )
 
 
 def modular_convergence_series(

@@ -284,6 +284,10 @@ _CONFIG_ROWS = [
     ("n-1-on-1-e", {"n_list": [1], "interval": [1, math.e]}, "interval too short",
      _CONFIG_COMMANDS),
     ("unknown-format", {"format": "xml"}, "needs a single format", ["table", "sweep"]),
+    # a TypeError traceback from Path(spec), exit 1
+    ("number-function", {"test_function": 3}, "test_function must be text", _CONFIG_COMMANDS),
+    ("number-phi-function", {"phi_function": 2}, "phi_function must be text", ["modular"]),
+    ("number-output", {"output": 3}, "output must be text", _CONFIG_COMMANDS),
 ]
 
 
@@ -423,6 +427,21 @@ def test_modular_mirror_states_error(runner, tmp_path):
     for r in rows:
         assert r["error_bound"] == 1e-8 / 4
         assert 0.0 <= r["error_estimate"] <= r["error_bound"]
+
+
+def test_modular_rows_name_the_orders_as_run(runner, tmp_path):
+    # a config file's 3.0 runs as n = 3, and the rows say 3 (they said 3.0)
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"n_list": [3.0]}))
+    out = tmp_path / "mod.csv"
+    res = runner.invoke(main, [
+        "modular", "--phi-function", "power:2", "--interval", "1:7.389",
+        "--output", str(out), "--config", str(cfgfile),
+    ])
+    assert res.exit_code == 0, res.output
+    assert out.read_text().splitlines()[1].startswith("3,")
+    [row] = json.loads(Path(str(out) + ".json").read_text())["rows"]
+    assert row["n"] == 3 and isinstance(row["n"], int)
 
 
 def test_modular_requires_phi_function(runner, tmp_path):

@@ -487,7 +487,7 @@ def test_batched_coefficients_match_per_k(psi_spec, which):
 
 
 @pytest.mark.parametrize("handle", [
-    # exp(10/34) is a knot of the lattice of step 1/68 at n = 17
+    # exp(10/34) is a knot of the lattice of step 1/34 at n = 17
     _steps((math.exp(10 / 34), 1.9), (0.2, 0.7, 0.5), name="on-knot"),
     # only the middle value is ever read on [0.25, 3]
     _steps((0.05, 1.3, 5.0), (9.0, 0.4, 0.8, 9.0), name="outside"),
@@ -502,8 +502,8 @@ def test_batched_breakpoint_placement(b3, handle):
 
 
 def test_batched_without_full_panels(b3):
-    # a breakpoint in every cell of the lattice (step 1/4) leaves the rule
-    # no full panel
+    # a breakpoint in every cell of the lattices of step 1/2 and 1/4 leaves
+    # the rule no full panel
     cuts = tuple(math.exp(0.1 + 0.25 * i) for i in range(5))
     handle = _steps(cuts, (0.1, 0.9, 0.3, 0.8, 0.2, 0.6), name="all-cut")
     cfg = OperatorConfig(phi=b3, psi=b3, n=1, a=1.0, b=math.exp(1.2))
@@ -659,8 +659,8 @@ def test_null_rules_vanish_below_their_degree():
 @pytest.mark.parametrize("abs_tol", [1e-10, 2e-14])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_escalated_fill_meets_its_limit(b2, h1, n, abs_tol):
-    # h1 oscillates on [1, e^2]: against bspline:2 psi the q = 4 lattice
-    # misses abs_tol/(2n) here, so the fill escalates in q or falls back
+    # h1 oscillates on [1, e^2]: against bspline:2 psi the q = 2 and q = 4
+    # lattices miss abs_tol/(2n) here, so the fill escalates in q or falls back
     cfg = OperatorConfig(phi=b2, psi=b2, n=n, a=1.0, b=math.exp(2.0),
                          quad=QuadratureSpec(abs_tol=abs_tol))
     ev = DurrmeyerEvaluator(cfg)
@@ -679,21 +679,27 @@ def test_escalated_fill_meets_its_limit(b2, h1, n, abs_tol):
 
 @pytest.mark.parametrize("table_id", refdata.TABLE_IDS)
 def test_table_configs_fill_in_one_lattice_pass(table_id, monkeypatch):
+    # one pass at the first q, whose vectors are the finest lattice's and
+    # whose null-rule estimates sit far below the limit that would escalate
     info = refdata.TABLE_INFO[table_id]
     h = get_test_function(info["function"])
-    qs = []
+    passes = []
     rule = operators._lattice_rule
     monkeypatch.setattr(operators, "_lattice_rule",
-                        lambda *args: qs.append(args[3]) or rule(*args))
+                        lambda *args: passes.append((args[3], rule(*args))) or passes[-1][1])
     a, b = refdata.REFERENCE_INTERVAL
     for n in refdata.REFERENCE_N_VALUES:
         cfg = OperatorConfig(phi=parse_kernel_spec(info["phi"]), psi=parse_kernel_spec(info["psi"]),
                              n=n, a=a, b=b, quad=QuadratureSpec(abs_tol=1e-9))
         ev = DurrmeyerEvaluator(cfg)
-        qs.clear()
-        ev.coefficients("one", h)
-        assert qs == [4]
+        passes.clear()
+        got = ev.coefficients("one", h)
+        assert [q for q, _ in passes] == [operators._LATTICE_START_Q]
         assert ev.engines == {"one": "batched", h: "batched"}
+        finest = rule(cfg, ev.ks, [operators._as_signal("one"), h], operators._LATTICE_MAX_Q)
+        for c, (_, est), (want, _) in zip(got, passes[0][1], finest):
+            assert est <= cfg.quad.abs_tol / (2 * n) / 10
+            np.testing.assert_allclose(c, want, rtol=0, atol=1e-14)
 
 
 def test_joint_fill_checks_every_domain_before_reading(b3):

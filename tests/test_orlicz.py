@@ -13,7 +13,6 @@ from expsamp import (
     PhiSpecError,
     QuadratureConvergenceError,
     QuadratureSpec,
-    delta2_probe,
     get_evaluator,
     get_test_function,
     jensen_max_checks,
@@ -433,30 +432,27 @@ def test_luxemburg_rejects_bad_arguments(a, b, tol, match):
             luxemburg_norm(parse_phi_spec("power:2"), _const(2.0), a, b, tol=tol)
 
 
+def _doubling_ratios(phi, grid):
+    return np.array([float(phi(2.0 * v)) / float(phi(v)) for v in grid])
+
+
 def test_delta2_power_exact():
-    rep = delta2_probe(parse_phi_spec("power:2"), GRID)
-    assert rep.sup_ratio == pytest.approx(4.0, rel=1e-12)
-    assert rep.within_declared
+    phi = parse_phi_spec("power:2")
+    ratios = _doubling_ratios(phi, GRID)
+    assert ratios.max() == pytest.approx(4.0, rel=1e-12)
+    assert ratios.max() <= phi.delta2_constant * (1.0 + 1e-12)
 
 
 def test_delta2_power_log_bounded():
-    rep = delta2_probe(parse_phi_spec("powerlog:1:1"), GRID)
-    assert rep.sup_ratio <= 4.0 + 1e-12
-    assert rep.within_declared
+    phi = parse_phi_spec("powerlog:1:1")
+    assert phi.delta2_constant == 4.0
+    assert _doubling_ratios(phi, GRID).max() <= phi.delta2_constant * (1.0 + 1e-12)
 
 
 def test_delta2_exp_power_diverges():
-    grid = np.geomspace(1e-3, 1e3, 61)
-    rep = delta2_probe(parse_phi_spec("exppower:1"), grid)
-    assert rep.diverges
-    ratio_at_20 = (math.expm1(40.0)) / (math.expm1(20.0))
-    assert ratio_at_20 > 1e6
-    assert rep.sup_ratio > 1e6
-
-
-def test_delta2_grid_validation():
-    with pytest.raises(ValueError):
-        delta2_probe(parse_phi_spec("power:2"), np.geomspace(0.1, 10.0, 11))
+    phi = parse_phi_spec("exppower:1")
+    assert phi.delta2 == "fails" and phi.delta2_constant is None
+    assert float(phi(40.0)) / float(phi(20.0)) > 1e6
 
 
 def test_jensen_max_checks_all_gauges():
