@@ -34,8 +34,9 @@ C_k(h) together when both are missing, as on a config's first evaluation,
 and builds that psi table once for them both.
 
 A phi of bounded log support [slo, shi] is nonzero on at most
-ceil(shi - slo) + 1 of the Phi_k(w), so point and grid evaluations read phi
-on that band of k only and account for the zero terms outside it exactly.
+ceil(shi - slo) + (phi(slo) != 0) of the Phi_k(w), so point and grid
+evaluations read phi on that band of k only and account for the zero terms
+outside it exactly.
 The band's terms are held as one row per band position and one column per
 point, so every maximum over k is a reduction across a few contiguous rows.
 
@@ -79,10 +80,11 @@ __all__ = [
 # phi, and not at all for the shipped families.
 _DENOMINATOR_FLOOR = 1e-300
 
-# Grid points per block in DurrmeyerEvaluator.eval_grid; each block's
-# temporaries take _GRID_BLOCK x (band or |J_n|) x 8 bytes (4.3 MB at
-# |J_n| = 132).
-_GRID_BLOCK = 4096
+# Grid points per block in DurrmeyerEvaluator.eval_grid and in the modular
+# series' error; each block's temporaries take _GRID_BLOCK x (band or |J_n|)
+# x 8 bytes: 2.2 MB at |J_n| = 132, and 48 KB and 64 KB on the bands of
+# bspline:3 and bspline:4, under glibc's default 128 KiB mmap threshold.
+_GRID_BLOCK = 2048
 
 # Gauss-Legendre nodes per lattice cell in a batched coefficient fill, and
 # the first and the largest q of a lattice step 1/(q n) before the per-k
@@ -391,9 +393,10 @@ class DurrmeyerEvaluator:
         ``_DENOMINATOR_FLOOR`` gets NaN value and numerator and denominator 0.
 
         For phi of bounded log support [slo, shi] a point reads only the band
-        of m = ceil(shi - slo) + 1 indices from ceil(x - shi), shifted into
-        J_n: every k outside it has phi(x - k) = 0.  Those k still enter the
-        maxima over J_n, as 0 in the max-product numerator and as
+        of m = ceil(shi - slo) + (phi(slo) != 0) indices from ceil(x - shi),
+        shifted into J_n: every k outside it has phi(x - k) = 0 (a last row
+        would read phi at x - k <= slo only).  Those k still enter the maxima
+        over J_n, as 0 in the max-product numerator and as
         min(C_k(h), 0) in max-min, so each band maximum gets one more
         candidate: 0, and max_k min(C_k(h), 0) at the first k achieving it.
         No max-min term of the band falls below that candidate, as phi >= 0,
@@ -411,7 +414,8 @@ class DurrmeyerEvaluator:
         c_one, c_h = self.coefficients("one", h)
         phi, size = self.cfg.phi, self.ks.size
         support = phi.log_support
-        m = size if support is None else min(size, math.ceil(support[1] - support[0]) + 1)
+        m = size if support is None else min(size, math.ceil(support[1] - support[0])
+                                                    + (phi.eval_log(support[0]) != 0))
         banded = m < size
         if banded:
             first = np.clip(np.ceil(x - support[1]) - self.ks[0], 0, size - m).astype(int)

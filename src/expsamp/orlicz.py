@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import operators
 from .harness import FunctionHandle, _orders
 from .operators import OperatorConfig, PropertyReport, get_evaluator
 # no function here calls integrate_log, but perfbench's tracer wraps
@@ -372,8 +373,10 @@ def modular_convergence_series(
     """Modular distance ``I[lam (D_n h - h)]`` along an increasing list of n.
 
     Each value is the :func:`modular`, to ``cfg.quad``, of the error
-    ``D_n h - h`` read through ``eval_grid``.  The error declares ``h``'s
-    breakpoints and the operator's pieces
+    ``D_n h - h``, read through ``eval_grid`` and ``h`` one block of
+    ``operators._GRID_BLOCK`` nodes at a time, so its temporaries stay a
+    block's however many nodes the quadrature asks for.  The error declares
+    ``h``'s breakpoints and the operator's pieces
     (:meth:`~expsamp.operators.DurrmeyerEvaluator.pieces`), so the integral
     is cut there: ``D_n h`` is continuous for every shipped phi, the error
     jumps only where ``h`` does, and for a B-spline phi it is smooth between
@@ -395,9 +398,13 @@ def modular_convergence_series(
 
         def error(ws):
             nonlocal skipped_count
-            vals, skipped = ev.eval_grid(operator, h, ws)
-            skipped_count += int(skipped.sum())
-            return np.where(skipped, 0.0, vals - np.asarray(h(ws), dtype=float))
+            out = np.empty(ws.shape)
+            for start in range(0, ws.size, operators._GRID_BLOCK):
+                block = slice(start, start + operators._GRID_BLOCK)
+                vals, skipped = ev.eval_grid(operator, h, ws[block])
+                skipped_count += int(skipped.sum())
+                out[block] = np.where(skipped, 0.0, vals - np.asarray(h(ws[block]), dtype=float))
+            return out
 
         breakpoints = (*(getattr(h, "breakpoints", ()) or ()), *ev.pieces(operator, h))
         err = FunctionHandle(name=f"D_{n} h - h", domain=(cfg.a, cfg.b), evaluator=error,

@@ -279,6 +279,31 @@ def test_banded_eval_grid_equals_dense(phi_spec, b2, h2):
         assert ev.max_product(h2, edge).skipped == skipped[0]
 
 
+@pytest.mark.parametrize("phi_spec, width", [
+    ("bspline:2", 2), ("bspline:3", 3), ("bspline:4", 4), ("box", 3)])
+def test_eval_grid_reads_the_exact_band(phi_spec, width, b2, h2, monkeypatch):
+    # a B-spline of order r is 0 at the lower end of its log support, so a
+    # point reads r kernel values; the box is 1 there and reads one more.
+    # Each assembly also reads phi once at that end.
+    points = []
+    if phi_spec == "box":
+        box = _CUSTOM_PHI["box"]
+        phi = _b2_support_kernel("box", lambda x: points.append(np.size(x)) or box(x))
+    else:
+        phi = parse_kernel_spec(phi_spec)
+        eval_log = KernelDescriptor.eval_log
+        monkeypatch.setattr(KernelDescriptor, "eval_log",
+                            lambda self, x: points.append(np.size(x)) or eval_log(self, x))
+    ev = DurrmeyerEvaluator(OperatorConfig(phi=phi, psi=b2, n=17, a=0.25, b=3.0))
+    assert width < ev.ks.size
+    ev.coefficients("one", h2)
+    ws = np.exp(np.linspace(math.log(0.25), math.log(3.0), 101))
+    for kind in ("max_product", "max_min"):
+        points.clear()
+        ev.eval_grid(kind, h2, ws)
+        assert sum(points) == width * ws.size + 1
+
+
 # ---------------------------------------------------------------------------
 # operator algebra (quick versions; the 500-case runs live in the acceptance
 # suite)

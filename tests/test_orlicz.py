@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expsamp import (
+    DurrmeyerEvaluator,
     FunctionHandle,
+    KernelDescriptor,
     OperatorConfig,
     OrliczOverflowError,
     PhiSpecError,
@@ -22,7 +24,7 @@ from expsamp import (
     parse_phi_spec,
     quadrature,
 )
-from expsamp import orlicz
+from expsamp import operators, orlicz
 from helpers import piecewise_constant_handle, step_handle
 
 
@@ -601,6 +603,36 @@ def test_modular_series_matches_uncut(b3, fejer, kind, which):
                              breakpoints=h.breakpoints)
         uncut = modular(gauge, err, cfg.a, cfg.b, spec=cfg.quad).modular_value
         assert rep.modular_value == pytest.approx(uncut, rel=0, abs=tol)
+
+
+def test_modular_series_reads_the_error_in_blocks(b2, h2, monkeypatch):
+    # phi cut to |x| < 1/4 leaves nodes with no weight, so some are skipped;
+    # eval_grid reads at most a block of nodes a call, and the series is the
+    # same, bit for bit and skip for skip, with blocks of 37
+    gapped = KernelDescriptor(name="gapped-series", family="bspline", params=(2.0,),
+                              support=(math.exp(-1.0), math.e))
+    object.__setattr__(gapped, "eval_log", lambda x: np.where(
+        np.abs(x) < 0.25, b2.eval_log(np.asarray(x, dtype=float)), 0.0))
+    cfg = OperatorConfig(phi=gapped, psi=b2, n=3, a=0.25, b=3.0,
+                         quad=QuadratureSpec(abs_tol=1e-6))
+    reads = []
+    eval_grid = DurrmeyerEvaluator.eval_grid
+    monkeypatch.setattr(DurrmeyerEvaluator, "eval_grid",
+                        lambda self, kind, h, ws: reads.append(np.size(ws)) or eval_grid(
+                            self, kind, h, ws))
+    gauge, blocks = parse_phi_spec("power:2"), (operators._GRID_BLOCK, 37)
+    for kind in ("max_product", "max_min"):
+        series, calls = [], []
+        for block in blocks:
+            monkeypatch.setattr(operators, "_GRID_BLOCK", block)
+            reads.clear()
+            series.append(modular_convergence_series(gauge, kind, h2, cfg, [3, 4]))
+            assert max(reads) <= block
+            calls.append(len(reads))
+        assert calls[0] < calls[1]
+        for w, g in zip(*series):
+            assert g.modular_value.hex() == w.modular_value.hex()
+            assert g.skipped_nodes == w.skipped_nodes > 0
 
 
 def test_modular_report_states_its_error(b3, fejer):
