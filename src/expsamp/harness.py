@@ -96,7 +96,8 @@ class FunctionHandle:
 def _h1_raw(w):
     w = np.asarray(w, dtype=float)
     z = 0.8 * w * np.cos(2.0 * math.pi * w)
-    t = np.logaddexp(0.0, z)  # log(1 + e^z), overflow-safe
+    # log(1 + e^z) as the two branches of np.logaddexp(0, z), overflow-safe
+    t = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     out = t / (1.0 + t)
     return float(out) if out.ndim == 0 else out
 

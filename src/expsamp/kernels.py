@@ -67,16 +67,17 @@ def _as_float_array(x):
 
 
 def _bspline_closed(order: int, x: np.ndarray) -> np.ndarray:
+    # each branch is >= 0 where it is taken, so clipping the outer piece's
+    # base at 0 is the only pass that zeroes |x| >= order/2
     ax = np.abs(x)
     if order == 2:
-        val = 1.0 - ax
-    elif order == 3:
-        val = np.where(ax <= 0.5, 0.75 - x * x, 0.5 * (1.5 - ax) ** 2)
-    elif order == 4:
-        val = np.where(ax <= 1.0, 0.5 * ax**3 - x * x + 2.0 / 3.0, (2.0 - ax) ** 3 / 6.0)
-    else:  # pragma: no cover - callers dispatch on order
-        raise ValueError(order)
-    return np.where(ax >= order / 2.0, 0.0, np.maximum(val, 0.0))
+        return np.maximum(1.0 - ax, 0.0)
+    if order == 3:
+        return np.where(ax <= 0.5, 0.75 - x * x, 0.5 * np.maximum(1.5 - ax, 0.0) ** 2)
+    if order == 4:
+        return np.where(ax <= 1.0, 0.5 * ax**3 - x * x + 2.0 / 3.0,
+                        np.maximum(2.0 - ax, 0.0) ** 3 / 6.0)
+    raise ValueError(order)  # pragma: no cover - callers dispatch on order
 
 
 def _bspline_generic(order: int, x: np.ndarray) -> np.ndarray:
@@ -384,24 +385,38 @@ def compute_metrics(kernel: KernelDescriptor, grid_density: int = 10_000) -> Ker
                          continuous_moment=continuous, l1_norm=l1)
 
 
+def _argmax_columns(terms: np.ndarray):
+    """``terms.argmax(axis=1)`` and the row maxima, a column at a time: for
+    a few columns that is cheaper than a reduction per row."""
+    top, at = terms[:, 0].copy(), np.zeros(terms.shape[0], dtype=int)
+    for p in range(1, terms.shape[1]):
+        at[terms[:, p] > top] = p
+        np.maximum(top, terms[:, p], out=top)
+    return at, top
+
+
 def _real_roots(coef: np.ndarray, t0: np.ndarray, t1: np.ndarray):
     """The real roots strictly inside (t0[i], t1[i]) of the polynomials
     sum_p coef[i, p] t**p, as (row i, root) arrays.
 
     Coefficients below 1e-13 of a row's largest are dropped from its top, so
     a near-cancelled leading term lowers the degree instead of sending the
-    other roots astray.  Degrees 1 and 2 are solved in closed form (the
-    quadratic without cancellation), higher degrees by the eigenvalues of
-    stacked companion matrices; a complex pair within 1e-7 of the axis, as
-    at a tangency, counts as real.
+    other roots astray; a row of zeros keeps degree 0 and is not solved.
+    Scale and degree are read a column at a time, which costs less than a
+    reduction over each row's few coefficients.  Degrees 1 and 2 are solved
+    in closed form (the quadratic without cancellation), higher degrees by
+    the eigenvalues of stacked companion matrices; a complex pair within
+    1e-7 of the axis, as at a tangency, counts as real.
     """
-    scale = np.abs(coef).max(axis=1)
-    big = np.abs(coef) > 1e-13 * scale[:, None]
-    deg = coef.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1)
+    mag = np.abs(coef)
+    tiny = 1e-13 * _argmax_columns(mag)[1]
+    deg = np.zeros(coef.shape[0], dtype=int)
+    for p in range(1, coef.shape[1]):
+        deg[mag[:, p] > tiny] = p
     rows, roots = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
         for d in range(1, coef.shape[1]):
-            at = np.flatnonzero((deg == d) & (scale > 0))
+            at = np.flatnonzero(deg == d)
             c = coef[at, :d + 1]
             if d == 1:
                 z = (-c[:, 0] / c[:, 1])[:, None]
@@ -416,7 +431,7 @@ def _real_roots(coef: np.ndarray, t0: np.ndarray, t1: np.ndarray):
                 eig = np.linalg.eigvals(comp)
                 z = np.where(np.abs(eig.imag) <= 1e-7 * (1.0 + np.abs(eig.real)),
                              eig.real, np.nan)
-            keep = (z > t0[at, None]) & (z < t1[at, None])
-            rows.append(np.broadcast_to(at[:, None], z.shape)[keep])
-            roots.append(z[keep])
+            i, j = np.nonzero((z > t0[at, None]) & (z < t1[at, None]))
+            rows.append(at[i])
+            roots.append(z[i, j])
     return np.concatenate(rows), np.concatenate(roots)

@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KernelDescriptor, _real_roots, compute_metrics
+from .kernels import KernelDescriptor, _argmax_columns, _real_roots, compute_metrics
 from .quadrature import (
     QuadratureSpec, _as_signal, _leggauss, _null_rules, durrmeyer_coefficient,
 )
@@ -182,15 +182,6 @@ def _finite(vals) -> np.ndarray:
     return vals
 
 
-def _first_max(terms: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """The smallest row index i with ``terms[i] == top`` in each column, where
-    ``top`` is the column maximum: the largest of the reversed ranks
-    m - i over the matching rows, from one axis-0 reduction."""
-    m = terms.shape[0]
-    rank = np.arange(m, 0, -1)[:, None]
-    return m - (np.equal(terms, top) * rank).max(axis=0)
-
-
 def _handle_panels(h, lo: float, hi: float, step: float, t: np.ndarray, wt: np.ndarray):
     """One handle's share of a lattice rule in lattice units s = u / step:
     ``V[i, j - j0]``, weighted h at node i of full cell j (zero on cut cells),
@@ -296,6 +287,11 @@ class DurrmeyerEvaluator:
         if not ks:
             raise ValueError("empty index set")
         self.ks = np.asarray(ks, dtype=float)
+        # phi's band of k (see _assemble) and its reversed ranks m - i
+        s = cfg.phi.log_support
+        m = self.ks.size if s is None else min(
+            self.ks.size, math.ceil(s[1] - s[0]) + (cfg.phi.eval_log(s[0]) != 0))
+        self._band, self._rank = np.arange(m)[:, None], np.arange(m, 0, -1)[:, None]
         self._coeffs: dict[object, np.ndarray] = {}
         self._range_flags: dict[object, str | None] = {}
         self.engines: dict[object, str] = {}
@@ -387,9 +383,10 @@ class DurrmeyerEvaluator:
     def _assemble(self, kind: str, h, x: np.ndarray):
         """The operator at the points x = n log w, read on phi's band of k.
 
-        Returns (value, numerator, denominator, active), ``active`` indexing
-        ``ks``: the smallest k achieving the denominator maximum (max-product)
-        or the outer maximum (max-min).  A point whose denominator falls below
+        Returns (value, numerator, denominator, active); ``active()`` works
+        out, at the points not skipped, the index into ``ks`` of the smallest
+        k achieving the denominator maximum (max-product) or the outer
+        maximum (max-min).  A point whose denominator falls below
         ``_DENOMINATOR_FLOOR`` gets NaN value and numerator and denominator 0.
 
         For phi of bounded log support [slo, shi] a point reads only the band
@@ -404,49 +401,48 @@ class DurrmeyerEvaluator:
         candidate's k wins ties.  The denominator needs none: a band maximum
         below 0 is skipped as a 0 would be, one above 0 is not reached
         outside the band.  Phi without bounded support, or with m >= |J_n|,
-        reads all of J_n.
+        reads all of J_n.  The evaluator works out m, and reads phi at slo,
+        once.
 
         The band terms are laid out band-major, a row of the m band positions
         by a column per point, so each maximum is a contiguous reduction over
-        the m rows, and the smallest maximising index comes from a second one
-        (:func:`_first_max`).  The max-min value is the term at that index.
+        the m rows, and the smallest maximising index i is the largest
+        reversed rank m - i over the rows equal to the maximum.
         """
         c_one, c_h = self.coefficients("one", h)
-        phi, size = self.cfg.phi, self.ks.size
-        support = phi.log_support
-        m = size if support is None else min(size, math.ceil(support[1] - support[0])
-                                                    + (phi.eval_log(support[0]) != 0))
-        banded = m < size
-        if banded:
-            first = np.clip(np.ceil(x - support[1]) - self.ks[0], 0, size - m).astype(int)
-            band = first + np.arange(m)[:, None]
-        else:
-            first = np.zeros(x.size, dtype=int)
-            band = np.arange(m)[:, None]
+        phi, size, m = self.cfg.phi, self.ks.size, self._band.size
+        band, first = self._band, 0
+        if m < size:
+            first = np.ceil(x - phi.log_support[1])
+            first -= self.ks[0]
+            first = np.clip(first, 0, size - m, out=first).astype(int)
+            band = first + band
         phim = np.asarray(phi.eval_log(x - self.ks[band]))
-        den_terms = phim * c_one[band]
-        top = den_terms.max(axis=0)
+        terms = phim * c_one[band]
+        top = terms.max(axis=0)
         skipped = top < _DENOMINATOR_FLOOR
         den = np.where(skipped, 1.0, top)
+        k0 = None  # max-min's outer candidate, when the band is narrower than J_n
         if kind == "max_product":
-            j = _first_max(den_terms, top)
             num = (phim * c_h[band]).max(axis=0)
-            if banded:
-                num = np.maximum(num, 0.0)
+            if m < size:
+                np.maximum(num, 0.0, out=num)
             value = num / den
         else:
             terms = np.minimum(c_h[band], phim / den)
-            j = _first_max(terms, terms.max(axis=0))
-            value = terms[j, np.arange(x.size)]
-            if banded:
+            top = value = terms.max(axis=0)
+            if m < size:
                 outer = np.minimum(c_h, 0.0)
                 k0 = int(outer.argmax())
-                j = np.where(value <= outer[k0], k0 - first, j)
-                value = np.maximum(value, outer[k0])
+                value = np.maximum(top, outer[k0])
             num = value * den
         value[skipped] = num[skipped] = np.nan
         den[skipped] = 0.0
-        return value, num, den, first + j
+
+        def active():
+            j = first + m - (np.equal(terms, top) * self._rank).max(axis=0)
+            return j if k0 is None else np.where(top <= outer[k0], k0, j)
+        return value, num, den, active
 
     def pieces(self, kind: str, h) -> tuple[float, ...]:
         """The points w in (a, b), increasing, where the operator value
@@ -466,7 +462,9 @@ class DurrmeyerEvaluator:
         winning min) differ at the midpoints of the candidate intervals on
         its two sides.  Cuts within ``_PIECE_MERGE`` of each other or of the
         interval's ends are merged.  The zero terms outside the band never
-        win a maximum inside a cell, so they add no candidates.
+        win a maximum inside a cell, so they add no candidates, and nor do
+        max-min's k == i, as phi(x - k) (1 - C_j(h) C_k(1)) is 0 at cell
+        ends only.  Maximisers are found a column at a time.
         """
         if kind not in ("max_product", "max_min"):
             raise ValueError(f"unknown operator kind {kind!r}")
@@ -493,7 +491,7 @@ class DurrmeyerEvaluator:
             polys.append((ch[:, J, None] * B[J] - ch[:, I, None] * B[I], both))
         else:
             polys.append((np.broadcast_to(B[J] - B[I], both.shape + (r,)), both))
-            K, J3, I3 = (a.ravel() for a in np.indices((r, r, r)))
+            K, J3, I3 = np.nonzero(np.indices((r, r, r))[0] != np.arange(r))
             cd = (ch[:, J3] * c1[:, I3])[..., None]
             polys.append((B[K] - cd * B[I3], inside[:, K] & inside[:, J3] & inside[:, I3]))
         coef = np.concatenate([p[valid] for p, valid in polys])
@@ -505,18 +503,17 @@ class DurrmeyerEvaluator:
         cells = np.arange(M.size)
         pos = np.concatenate([cand, cells, cells])
         tt = np.concatenate([t, t0, t1])
-        order = np.lexsort((tt, pos))
+        order = np.argsort(tt, kind="stable")
+        order = order[np.argsort(pos[order], kind="stable")]
         pos, tt = pos[order], tt[order]
         c, tm = pos[:-1], 0.5 * (tt[:-1] + tt[1:])
         vals = (tm[:, None] ** np.arange(r)) @ B.T
-        den = np.where(inside[c], c1[c] * vals, -np.inf)
-        jd = den.argmax(axis=1)
+        jd, top = _argmax_columns(np.where(inside[c], c1[c] * vals, -np.inf))
         if kind == "max_product":
-            state = jd * r + np.where(inside[c], ch[c] * vals, -np.inf).argmax(axis=1)
+            state = jd * r + _argmax_columns(np.where(inside[c], ch[c] * vals, -np.inf))[0]
         else:
-            side = vals / den[np.arange(c.size), jd][:, None]
-            terms = np.where(inside[c], np.minimum(ch[c], side), -np.inf)
-            jm = terms.argmax(axis=1)
+            side = vals / top[:, None]
+            jm = _argmax_columns(np.where(inside[c], np.minimum(ch[c], side), -np.inf))[0]
             limited = ch[c, jm] < side[np.arange(c.size), jm]
             state = (jd * r + jm) * 2 + limited
         p = np.flatnonzero(order[1:-1] < cand.size) + 1
@@ -534,7 +531,7 @@ class DurrmeyerEvaluator:
         skipped = bool(den[0] == 0.0)
         return OperatorEvaluation(
             value=float(value[0]), numerator=float(num[0]), denominator=float(den[0]),
-            active_index=None if skipped else int(self.ks[active[0]]), skipped=skipped,
+            active_index=None if skipped else int(self.ks[active()[0]]), skipped=skipped,
             skip_reason="degenerate denominator" if skipped else None,
             warning=self.range_warning(h) if kind == "max_min" and not skipped else None,
         )
@@ -548,7 +545,8 @@ class DurrmeyerEvaluator:
         return self._point("max_min", h, w)
 
     def eval_grid(self, kind: str, h, ws) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized evaluation over a 1-D grid; returns (values, skipped_mask).
+        """Vectorized evaluation over a grid of any shape; returns (values,
+        skipped_mask), both of the grid's shape.
 
         Each value is the one :meth:`max_product` or :meth:`max_min` gives,
         from the same band (see :meth:`_assemble`), with x = n log w taken by
@@ -560,12 +558,13 @@ class DurrmeyerEvaluator:
             raise ValueError(f"unknown operator kind {kind!r}")
         ws = np.asarray(ws, dtype=float)
         self._check_points(ws)
-        values = np.empty(ws.shape)
-        skipped = np.empty(ws.shape, dtype=bool)
+        values, skipped = np.empty(ws.shape), np.empty(ws.shape, dtype=bool)
+        # a grid of any shape is read flat; values and skipped through views
+        w, v, s = ws.ravel(), values.ravel(), skipped.ravel()
         for start in range(0, ws.size, _GRID_BLOCK):
             block = slice(start, start + _GRID_BLOCK)
-            values[block], _, den, _ = self._assemble(kind, h, self.cfg.n * np.log(ws[block]))
-            skipped[block] = den == 0.0
+            v[block], _, den = self._assemble(kind, h, self.cfg.n * np.log(w[block]))[:3]
+            s[block] = den == 0.0
         return values, skipped
 
 

@@ -115,6 +115,24 @@ def test_h1_value():
     assert get_test_function("h1")(1.0) == pytest.approx(0.53942, abs=2e-5)
 
 
+def test_h1_softplus_matches_logaddexp():
+    # log(1 + e^z) from the two branches of np.logaddexp(0, z)
+    h1 = get_test_function("h1")
+    w = np.linspace(0.0, 100.0, 400_001)
+    z = 0.8 * w * np.cos(2.0 * math.pi * w)
+    t = np.logaddexp(0.0, z)
+    ref = t / (1.0 + t)
+    assert np.all(np.abs(h1(w) - ref) <= 2 * np.spacing(ref))
+    # finite where log1p(exp(z)) alone overflows to a NaN value
+    far = np.linspace(1e3, 1e4, 90_001)
+    z = 0.8 * far * np.cos(2.0 * math.pi * far)
+    with np.errstate(over="ignore", invalid="ignore"):
+        naive = np.log1p(np.exp(z))
+        assert np.isnan(naive / (1.0 + naive)).any()
+    assert np.all(np.isfinite(h1(far)))
+    assert h1(1e4) == pytest.approx(8000.0 / 8001.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("which", ["h1", "h2"])
 def test_declared_range_probe(which):
     h = get_test_function(which)

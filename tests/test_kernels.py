@@ -17,7 +17,7 @@ from expsamp import (
     mellin_integrate,
     parse_kernel_spec,
 )
-from expsamp.kernels import _bspline_generic
+from expsamp.kernels import _argmax_columns, _bspline_generic, _real_roots
 
 
 # closed-form branch polynomials, written out independently; u = log w
@@ -234,3 +234,64 @@ def test_jackson_descriptor_caches_norm_constant():
     assert j.norm_constant == pytest.approx(1.0 / (2.1 * math.pi), abs=1e-8)
     # evaluation picks up the cached constant
     assert j(1.0) == j.norm_constant
+
+
+def _planted(rng, degree, t0, t1):
+    """A polynomial of ``degree`` (coefficients low to high, padded to 5)
+    with roots planted in (t0, t1), the rest outside [0, 1] or complex."""
+    inside = int(rng.integers(1, degree + 1))
+    roots = list(rng.uniform(t0 + 0.05, t1 - 0.05, inside))
+    while len(roots) < degree:
+        if degree - len(roots) >= 2 and rng.random() < 0.5:
+            z = complex(rng.uniform(-1, 2), rng.uniform(0.2, 1))
+            roots += [z, z.conjugate()]
+        else:
+            roots.append(rng.choice([-1, 1]) * rng.uniform(1.5, 3))
+    coef = np.real(np.poly(roots))[::-1] * rng.uniform(0.5, 2) * rng.choice([-1, 1])
+    return np.pad(coef, (0, 4 - degree)), sorted(r.real for r in roots
+                                                if np.isreal(r) and t0 < r.real < t1)
+
+
+def test_real_roots_match_numpy_roots():
+    rng = np.random.default_rng(5)
+    rows, expect, t0, t1 = [], [], [], []
+    for degree in (1, 2, 3, 4) * 25:
+        lo = rng.uniform(0, 0.3)
+        hi = rng.uniform(0.7, 1)
+        coef, inside = _planted(rng, degree, lo, hi)
+        rows.append(coef)
+        expect.append(inside)
+        t0.append(lo)
+        t1.append(hi)
+    # a leading coefficient of 1e-15 of its row lowers the degree: the cubic
+    # 1e-15 t^3 + (t - 0.3)(t - 0.6) has one more root near -1e15
+    rows.append(np.array([0.18, -0.9, 1.0, 1e-15, 0.0]))
+    expect.append([0.3, 0.6])
+    # double roots, as at a tangency of two band terms; the companion
+    # matrices give the last two as complex pairs about 2.5e-8 off the axis
+    rows.append(np.array([0.16, -0.8, 1.0, 0.0, 0.0]))
+    expect.append([0.4, 0.4])
+    rows.append(np.pad(np.real(np.poly([0.5, 0.5, 1.7]))[::-1], (0, 1)))
+    expect.append([0.5, 0.5])
+    rows.append(np.real(np.poly([0.6, 0.6, 2.0, -1.5]))[::-1])
+    expect.append([0.6, 0.6])
+    t0 += [0.0] * 4
+    t1 += [1.0] * 4
+    row, root = _real_roots(np.array(rows), np.array(t0), np.array(t1))
+    for i, c in enumerate(rows):
+        got = np.sort(root[row == i])
+        # numpy's roots of the row with the same negligible top dropped
+        c = np.trim_zeros(np.where(np.abs(c) > 1e-13 * np.abs(c).max(), c, 0.0), "b")
+        ref = np.roots(c[::-1])
+        ref = np.sort(ref[(np.abs(ref.imag) < 1e-6) & (ref.real > t0[i]) & (ref.real < t1[i])].real)
+        assert got.size == ref.size == len(expect[i]), (i, got, ref)
+        assert np.allclose(got, ref, atol=1e-7) and np.allclose(got, expect[i], atol=1e-7)
+
+
+def test_argmax_columns_matches_argmax():
+    rng = np.random.default_rng(3)
+    terms = rng.integers(0, 4, (500, 5)).astype(float)
+    terms[rng.random(terms.shape) < 0.2] = -np.inf
+    at, top = _argmax_columns(terms)
+    assert np.array_equal(at, terms.argmax(axis=1))
+    assert np.array_equal(top, terms.max(axis=1))

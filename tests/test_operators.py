@@ -154,6 +154,20 @@ def test_eval_grid_blocks_match_per_block_calls(b2, h2, monkeypatch):
         assert np.array_equal(skipped, np.concatenate([p[1] for p in parts]))
 
 
+@pytest.mark.parametrize("shape", [(), (3, 4), (4, 3)])
+def test_eval_grid_keeps_the_grid_shape(shape, b2, h2):
+    # a 0-d point and 2-D grids, C- and F-ordered, give the point values
+    ev = DurrmeyerEvaluator(OperatorConfig(phi=b2, psi=b2, n=5, a=0.25, b=3.0))
+    ws = np.exp(np.linspace(math.log(0.3), math.log(2.9), max(math.prod(shape), 1)))
+    for grid in (ws.reshape(shape), ws.reshape(shape[::-1]).T):
+        for kind in ("max_product", "max_min"):
+            values, skipped = ev.eval_grid(kind, h2, grid)
+            assert values.shape == skipped.shape == grid.shape
+            points = [getattr(ev, kind)(h2, float(w)) for w in grid.ravel()]
+            assert values.ravel().tolist() == [p.value for p in points]
+            assert skipped.ravel().tolist() == [p.skipped for p in points]
+
+
 def _dense_grid(ev, kind, h, x):
     """The operator's maxima over every k in J_n at x = n log w, the band's reference.
 
@@ -284,7 +298,7 @@ def test_banded_eval_grid_equals_dense(phi_spec, b2, h2):
 def test_eval_grid_reads_the_exact_band(phi_spec, width, b2, h2, monkeypatch):
     # a B-spline of order r is 0 at the lower end of its log support, so a
     # point reads r kernel values; the box is 1 there and reads one more.
-    # Each assembly also reads phi once at that end.
+    # The evaluator reads phi once at that end, when it is built.
     points = []
     if phi_spec == "box":
         box = _CUSTOM_PHI["box"]
@@ -295,13 +309,14 @@ def test_eval_grid_reads_the_exact_band(phi_spec, width, b2, h2, monkeypatch):
         monkeypatch.setattr(KernelDescriptor, "eval_log",
                             lambda self, x: points.append(np.size(x)) or eval_log(self, x))
     ev = DurrmeyerEvaluator(OperatorConfig(phi=phi, psi=b2, n=17, a=0.25, b=3.0))
+    assert points == [1]
     assert width < ev.ks.size
     ev.coefficients("one", h2)
     ws = np.exp(np.linspace(math.log(0.25), math.log(3.0), 101))
     for kind in ("max_product", "max_min"):
         points.clear()
         ev.eval_grid(kind, h2, ws)
-        assert sum(points) == width * ws.size + 1
+        assert sum(points) == width * ws.size
 
 
 # ---------------------------------------------------------------------------
